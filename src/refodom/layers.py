@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose2D
-from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, NdtGrid,
+from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, NdtGrids,
                   build_grids, newton_ascent, score_terms)
 
 DEFAULT_MARKER_WEIGHT = 10.0
@@ -24,8 +24,8 @@ SYNTH_CIRCLE_POINTS = 8
 
 @dataclass
 class LayeredGrids:
-    regular: list
-    marker: list
+    regular: NdtGrids
+    marker: NdtGrids
     marker_weight: float = DEFAULT_MARKER_WEIGHT
     synth_radius: float = DEFAULT_SYNTH_RADIUS
 
@@ -57,25 +57,26 @@ def synthesize_marker_cloud(marker_points: np.ndarray, radius: float) -> np.ndar
 
 
 def build_marker_layer(marker_points: np.ndarray, radius: float = DEFAULT_SYNTH_RADIUS,
-                       cell_size: float = DEFAULT_CELL_SIZE) -> list:
+                       cell_size: float = DEFAULT_CELL_SIZE) -> NdtGrids:
     """NDT grids over marker points augmented with synthesized circle points,
     so even an isolated marker point yields a valid cell."""
     return build_grids(synthesize_marker_cloud(marker_points, radius), cell_size)
 
 
 def layered_score(g: LayeredGrids, regular_points: np.ndarray,
-                  marker_points: np.ndarray, pose: Pose2D):
-    """Weighted two-layer score with gradient/Hessian; the association ratio
-    counts regular and marker points jointly."""
-    s_r, g_r, h_r, a_r, n_r = score_terms(g.regular, regular_points, pose)
-    s_m, g_m, h_m, a_m, n_m = score_terms(g.marker, marker_points, pose)
+                  marker_points: np.ndarray, pose: Pose2D, derivatives: bool = True):
+    """Weighted two-layer score with gradient/Hessian (None when derivatives
+    is False); the association ratio counts regular and marker points
+    jointly."""
+    s_r, g_r, h_r, a_r, n_r = score_terms(g.regular, regular_points, pose, derivatives)
+    s_m, g_m, h_m, a_m, n_m = score_terms(g.marker, marker_points, pose, derivatives)
     w = g.marker_weight
     total = s_r + w * s_m
-    grad = g_r + w * g_m
-    hess = h_r + w * h_m
     n_total = n_r + n_m
     ratio = (a_r + a_m) / n_total if n_total else 0.0
-    return total, grad, hess, ratio
+    if not derivatives:
+        return total, None, None, ratio
+    return total, g_r + w * g_m, h_r + w * h_m, ratio
 
 
 def match_layered(g: LayeredGrids, regular_points: np.ndarray,
@@ -84,7 +85,7 @@ def match_layered(g: LayeredGrids, regular_points: np.ndarray,
     regular_points = np.asarray(regular_points, dtype=float).reshape(-1, 2)
     marker_points = np.asarray(marker_points, dtype=float).reshape(-1, 2)
 
-    def objective(pose):
-        return layered_score(g, regular_points, marker_points, pose)
+    def objective(pose, derivatives=True):
+        return layered_score(g, regular_points, marker_points, pose, derivatives)
 
     return newton_ascent(objective, initial, opts)

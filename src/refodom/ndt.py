@@ -20,9 +20,21 @@ MIN_CELL_POINTS = 3
 EIG_RATIO_FLOOR = 1e-3
 EIG_ABS_FLOOR = 1e-6  # m^2
 
-# Cell coordinate packing into a single int64 key for vectorized lookup.
+# Cell coordinate packing into a single int64 key for vectorized lookup. A
+# cell key is below 2**50; the lattice index sits above it, so the keys of all
+# four lattices sort into one table, lattice by lattice.
 _KEY_OFFSET = 1 << 24
 _KEY_STRIDE = 1 << 25
+_LATTICE_SHIFT = 51
+_LATTICES = np.arange(len(GRID_SHIFTS))
+
+
+def _cell_keys(points, shift, cell_size: float, lattice) -> np.ndarray:
+    """Packed key of the cell holding each point; shift (..., 2) and lattice
+    broadcast against the points, so one call can key every lattice."""
+    ij = np.floor((points - shift) / cell_size).astype(np.int64)
+    return ((lattice << _LATTICE_SHIFT) + (ij[..., 0] + _KEY_OFFSET) * _KEY_STRIDE
+            + (ij[..., 1] + _KEY_OFFSET))
 
 
 @dataclass
@@ -32,6 +44,16 @@ class MatchOptions:
     max_halvings: int = 10
     max_step_translation: float = 0.5  # m, trust-region style clamp
     max_step_rotation: float = 0.5     # rad
+
+    def __post_init__(self):
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not self.max_halvings >= 0:
+            raise ValueError("max_halvings must be >= 0")
+        if not self.convergence_tol >= 0:
+            raise ValueError("convergence_tol must be >= 0")
+        if not (self.max_step_translation > 0 and self.max_step_rotation > 0):
+            raise ValueError("max_step_translation and max_step_rotation must be positive")
 
 
 @dataclass
@@ -46,13 +68,16 @@ class MatchResult:
 
 class NdtGrid:
     """One shifted lattice of Gaussian cells, stored as flat arrays sorted by
-    packed cell key for O(log n) vectorized lookup."""
+    packed cell key for O(log n) vectorized lookup. The arrays are views into
+    the lattice's slice of its NdtGrids table."""
 
-    __slots__ = ("cell_size", "shift", "keys", "means", "covs", "inv_covs", "counts")
+    __slots__ = ("cell_size", "shift", "lattice", "keys", "means", "covs",
+                 "inv_covs", "counts")
 
-    def __init__(self, cell_size, shift, keys, means, covs, inv_covs, counts):
+    def __init__(self, cell_size, shift, lattice, keys, means, covs, inv_covs, counts):
         self.cell_size = cell_size
         self.shift = shift
+        self.lattice = lattice
         self.keys = keys
         self.means = means
         self.covs = covs
@@ -62,15 +87,11 @@ class NdtGrid:
     def __len__(self):
         return len(self.keys)
 
-    def _cell_keys(self, points: np.ndarray) -> np.ndarray:
-        ij = np.floor((points - self.shift) / self.cell_size).astype(np.int64)
-        return (ij[:, 0] + _KEY_OFFSET) * _KEY_STRIDE + (ij[:, 1] + _KEY_OFFSET)
-
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Index of the containing cell per point, -1 if the cell is empty."""
         if len(self.keys) == 0 or len(points) == 0:
             return np.full(len(points), -1, dtype=np.int64)
-        keys = self._cell_keys(points)
+        keys = _cell_keys(points, self.shift, self.cell_size, self.lattice)
         pos = np.searchsorted(self.keys, keys)
         pos = np.clip(pos, 0, len(self.keys) - 1)
         out = np.where(self.keys[pos] == keys, pos, -1)
@@ -79,9 +100,11 @@ class NdtGrid:
     def debug_dump(self) -> str:
         """Cell coordinates, mean, covariance as delimited text."""
         lines = []
+        base = self.lattice << _LATTICE_SHIFT
         for k in range(len(self.keys)):
-            ix = int(self.keys[k] // _KEY_STRIDE - _KEY_OFFSET)
-            iy = int(self.keys[k] % _KEY_STRIDE - _KEY_OFFSET)
+            key = int(self.keys[k]) - base
+            ix = key // _KEY_STRIDE - _KEY_OFFSET
+            iy = key % _KEY_STRIDE - _KEY_OFFSET
             m = self.means[k]
             c = self.covs[k]
             lines.append(" ".join(repr(v) for v in
@@ -89,6 +112,46 @@ class NdtGrid:
                                    float(c[0, 0]), float(c[0, 1]), float(c[1, 1]),
                                    int(self.counts[k])]))
         return "\n".join(lines)
+
+
+class NdtGrids:
+    """The four half-cell-shifted lattices of one point cloud, and one table
+    over all of their cells: keys sorted with the lattice index in the high
+    bits, with the cell means and inverse covariances in the same order.
+    Indexing and iteration give the per-lattice NdtGrid views."""
+
+    __slots__ = ("cell_size", "shifts", "keys", "means", "inv_covs", "lattices")
+
+    def __init__(self, cell_size, shifts, keys, means, inv_covs, lattices):
+        self.cell_size = cell_size
+        self.shifts = shifts
+        self.keys = keys
+        self.means = means
+        self.inv_covs = inv_covs
+        self.lattices = lattices
+
+    def __len__(self):
+        return len(self.lattices)
+
+    def __iter__(self):
+        return iter(self.lattices)
+
+    def __getitem__(self, i):
+        return self.lattices[i]
+
+    def lookup(self, points: np.ndarray):
+        """Every (lattice, point) pair whose cell is filled, lattice-major
+        with points in order: (table row per hit, point index per hit, the
+        hit offset where each lattice starts plus the total, number of points
+        with at least one hit). The table must hold at least one cell."""
+        keys = _cell_keys(points, self.shifts[:, None, :], self.cell_size,
+                          _LATTICES[:, None]).ravel()
+        pos = np.searchsorted(self.keys, keys)
+        np.minimum(pos, len(self.keys) - 1, out=pos)
+        hit = (self.keys[pos] == keys).reshape(len(_LATTICES), -1)
+        lattice, point = np.nonzero(hit)
+        starts = np.searchsorted(lattice, np.arange(len(_LATTICES) + 1))
+        return pos[hit.ravel()], point, starts, int(hit.any(axis=0).sum())
 
 
 def _regularize_covariances(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,18 +186,14 @@ def _regularize_covariances(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reg, inv
 
 
-def _build_single_grid(points: np.ndarray, cell_size: float, shift: np.ndarray,
-                       min_points: int) -> NdtGrid:
-    if len(points) == 0:
-        empty = np.empty((0,), dtype=np.int64)
-        return NdtGrid(cell_size, shift, empty, np.empty((0, 2)),
-                       np.empty((0, 2, 2)), np.empty((0, 2, 2)), np.empty((0,)))
-    ij = np.floor((points - shift) / cell_size).astype(np.int64)
-    keys = (ij[:, 0] + _KEY_OFFSET) * _KEY_STRIDE + (ij[:, 1] + _KEY_OFFSET)
+def _lattice_cells(pts: np.ndarray, cell_size: float, shift: np.ndarray,
+                   lattice: int, min_points: int):
+    """Sorted keys, means, sample covariances and point counts of one
+    lattice's cells that hold at least min_points points."""
+    keys = _cell_keys(pts, shift, cell_size, lattice)
     order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    pts_sorted = points[order]
-    uniq_keys, starts, counts = np.unique(keys_sorted, return_index=True,
+    pts_sorted = pts[order]
+    uniq_keys, starts, counts = np.unique(keys[order], return_index=True,
                                           return_counts=True)
     keep = counts >= min_points
     uniq_keys, starts, counts = uniq_keys[keep], starts[keep], counts[keep]
@@ -147,93 +206,107 @@ def _build_single_grid(points: np.ndarray, cell_size: float, shift: np.ndarray,
         d = seg - mu
         means[k] = mu
         covs[k] = d.T @ d / (counts[k] - 1)
-    covs, inv_covs = _regularize_covariances(covs) if m else (covs, covs.copy())
-    return NdtGrid(cell_size, shift, uniq_keys, means, covs, inv_covs,
-                   counts.astype(float))
+    return uniq_keys, means, covs, counts
 
 
 def build_grids(points: np.ndarray, cell_size: float,
-                min_points: int = MIN_CELL_POINTS) -> list[NdtGrid]:
+                min_points: int = MIN_CELL_POINTS) -> NdtGrids:
     """Build the four half-cell-shifted NDT grids for a point cloud."""
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return [
-        _build_single_grid(pts, cell_size,
-                           np.array(s) * cell_size, min_points)
-        for s in GRID_SHIFTS
+    shifts = np.array(GRID_SHIFTS) * cell_size
+    # Cells are computed a lattice at a time, which bounds the temporaries by
+    # one lattice's, then concatenated in lattice order into the shared table.
+    cells = [_lattice_cells(pts, cell_size, shifts[l], l, min_points)
+             for l in range(len(GRID_SHIFTS))]
+    keys, means, covs, counts = (np.concatenate(a) for a in zip(*cells))
+    covs, inv_covs = _regularize_covariances(covs) if len(keys) else (covs, covs.copy())
+    counts = counts.astype(float)
+    bounds = np.cumsum([0] + [len(c[0]) for c in cells])
+    lattices = [
+        NdtGrid(cell_size, shifts[l], l, *(a[lo:hi] for a in
+                                           (keys, means, covs, inv_covs, counts)))
+        for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
+    return NdtGrids(cell_size, shifts, keys, means, inv_covs, lattices)
 
 
-def score(grids, points: np.ndarray, pose: Pose2D):
+def score(grids: NdtGrids, points: np.ndarray, pose: Pose2D, derivatives: bool = True):
     """NDT score, gradient and Hessian w.r.t. (x, y, theta) at a pose.
 
-    Returns (score, gradient (3,), hessian (3,3), associated_ratio).
+    Returns (score, gradient (3,), hessian (3,3), associated_ratio); with
+    derivatives=False the gradient and Hessian are None and the score and
+    ratio are those of the full evaluation, bit for bit.
     """
-    s, g, h, n_assoc, n_pts = score_terms(grids, points, pose)
+    s, g, h, n_assoc, n_pts = score_terms(grids, points, pose, derivatives)
     ratio = n_assoc / n_pts if n_pts else 0.0
     return s, g, h, ratio
 
 
-def score_terms(grids, points: np.ndarray, pose: Pose2D):
+def score_terms(grids: NdtGrids, points: np.ndarray, pose: Pose2D,
+                derivatives: bool = True):
     """Like score() but returns raw association counts so callers can merge
     several point classes into one ratio."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(pts)
     total = 0.0
-    grad = np.zeros(3)
-    hess = np.zeros((3, 3))
-    associated = np.zeros(n_pts, dtype=bool)
-    if n_pts == 0:
-        return total, grad, hess, 0, 0
+    grad = np.zeros(3) if derivatives else None
+    hess = np.zeros((3, 3)) if derivatives else None
+    if n_pts == 0 or len(grids.keys) == 0:
+        return total, grad, hess, 0, n_pts
 
     c, sn = math.cos(pose.theta), math.sin(pose.theta)
     R = np.array([[c, -sn], [sn, c]])
-    dR = np.array([[-sn, -c], [c, -sn]])
-    tp = pts @ R.T + np.array([pose.x, pose.y])
-    drp = pts @ dR.T          # du/dtheta per point
-    d2rp = -(pts @ R.T)       # d2u/dtheta2 per point
+    rp = pts @ R.T
+    tp = rp + np.array([pose.x, pose.y])
+    rows, hit_pts, starts, n_assoc = grids.lookup(tp)
 
-    for grid in grids:
-        idx = grid.lookup(tp)
-        valid = idx >= 0
-        if not valid.any():
-            continue
-        associated |= valid
-        vi = idx[valid]
-        u = tp[valid] - grid.means[vi]                      # (K,2)
-        icov = grid.inv_covs[vi]                            # (K,2,2)
-        ic00, ic01, ic11 = icov[:, 0, 0], icov[:, 0, 1], icov[:, 1, 1]
-        u0, u1 = u[:, 0], u[:, 1]
-        a0 = ic00 * u0 + ic01 * u1                          # Sigma^-1 u
-        a1 = ic01 * u0 + ic11 * u1
-        mah = u0 * a0 + u1 * a1
-        sterm = np.exp(-0.5 * mah)                          # (K,)
-        total += float(sterm.sum())
-
+    # take() gathers rows far faster than fancy indexing of 2-D/3-D arrays.
+    u = tp.take(hit_pts, axis=0) - grids.means.take(rows, axis=0)   # (K,2)
+    icov = grids.inv_covs.take(rows, axis=0)                        # (K,2,2)
+    ic00, ic01, ic11 = icov[:, 0, 0], icov[:, 0, 1], icov[:, 1, 1]
+    u0, u1 = u[:, 0], u[:, 1]
+    a0 = ic00 * u0 + ic01 * u1                              # Sigma^-1 u
+    a1 = ic01 * u0 + ic11 * u1
+    mah = u0 * a0 + u1 * a1
+    sterm = np.exp(-0.5 * mah)                              # (K,)
+    if derivatives:
+        dR = np.array([[-sn, -c], [c, -sn]])
+        drp = (pts @ dR.T).take(hit_pts, axis=0)    # du/dtheta per hit
+        d2rp = -rp.take(hit_pts, axis=0)            # d2u/dtheta2 per hit
         # Jacobian columns of u: (1,0), (0,1), dR p.
-        j0, j1 = drp[valid, 0], drp[valid, 1]
+        j0, j1 = drp[:, 0], drp[:, 1]
         b2 = a0 * j0 + a1 * j1
-        grad[0] -= float(sterm @ a0)
-        grad[1] -= float(sterm @ a1)
-        grad[2] -= float(sterm @ b2)
-
         # Hessian: sum s * (b b^T - J^T Sigma^-1 J - a . d2u), where only the
         # theta-theta entry has a nonzero second derivative of u.
         icj0 = ic00 * j0 + ic01 * j1
         icj1 = ic01 * j0 + ic11 * j1
-        hess[0, 0] += float(sterm @ (a0 * a0 - ic00))
-        hess[0, 1] += float(sterm @ (a0 * a1 - ic01))
-        hess[1, 1] += float(sterm @ (a1 * a1 - ic11))
-        hess[0, 2] += float(sterm @ (a0 * b2 - icj0))
-        hess[1, 2] += float(sterm @ (a1 * b2 - icj1))
-        hess[2, 2] += float(sterm @ (b2 * b2 - (j0 * icj0 + j1 * icj1)
-                                     - (a0 * d2rp[valid, 0] + a1 * d2rp[valid, 1])))
+        h_terms = ((0, 0, a0 * a0 - ic00), (0, 1, a0 * a1 - ic01),
+                   (1, 1, a1 * a1 - ic11), (0, 2, a0 * b2 - icj0),
+                   (1, 2, a1 * b2 - icj1),
+                   (2, 2, b2 * b2 - (j0 * icj0 + j1 * icj1)
+                    - (a0 * d2rp[:, 0] + a1 * d2rp[:, 1])))
 
-    hess[1, 0] = hess[0, 1]
-    hess[2, 0] = hess[0, 2]
-    hess[2, 1] = hess[1, 2]
-    return total, grad, hess, int(associated.sum()), n_pts
+    # Each lattice's hits are reduced on their own and in lattice order, so
+    # the sums round exactly as a lattice-by-lattice evaluation would.
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        if lo == hi:
+            continue
+        s = sterm[lo:hi]
+        total += float(s.sum())
+        if derivatives:
+            grad[0] -= float(s @ a0[lo:hi])
+            grad[1] -= float(s @ a1[lo:hi])
+            grad[2] -= float(s @ b2[lo:hi])
+            for i, j, term in h_terms:
+                hess[i, j] += float(s @ term[lo:hi])
+
+    if derivatives:
+        hess[1, 0] = hess[0, 1]
+        hess[2, 0] = hess[0, 2]
+        hess[2, 1] = hess[1, 2]
+    return total, grad, hess, n_assoc, n_pts
 
 
 # Eigenvalue floor for the step computation, relative to the stiffest
@@ -261,9 +334,13 @@ def _ascent_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) -> MatchResult:
     """Damped Newton maximization of a smooth objective over (x, y, theta).
 
-    objective(pose) must return (score, grad, hess, associated_ratio).
-    The step is halved until the score is non-decreasing; the best pose seen
-    is returned.
+    objective(pose, derivatives=True) must return (score, grad, hess,
+    associated_ratio). With derivatives=False it may return None for grad and
+    hess, but the score and ratio must equal those of the full evaluation.
+    The step is halved until the score is non-decreasing; these line-search
+    trials are evaluated score-only, and the full derivatives are computed
+    only at the initial pose and at each accepted pose. The best pose seen is
+    returned.
     """
     if opts is None:
         opts = MatchOptions()
@@ -288,7 +365,7 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
         for _ in range(opts.max_halvings + 1):
             cand = Pose2D(pose.x + alpha * step[0], pose.y + alpha * step[1],
                           wrap_angle(pose.theta + alpha * step[2]))
-            cs, cg, ch, cratio = objective(cand)
+            cs, _, _, _ = objective(cand, derivatives=False)
             if cs >= s:
                 accepted = True
                 break
@@ -298,7 +375,8 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
             break
 
         update_norm = alpha * float(np.linalg.norm(step))
-        pose, s, g, h, ratio = cand, cs, cg, ch, cratio
+        pose = cand
+        s, g, h, ratio = objective(pose)
         if s >= best_score:
             best_pose, best_score, best_h, best_ratio = pose, s, h, ratio
         if update_norm < opts.convergence_tol:
@@ -314,8 +392,8 @@ def match(grids, points: np.ndarray, initial: Pose2D,
     """Match a point cloud against NDT grids starting from an initial pose."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
 
-    def objective(pose):
-        return score(grids, pts, pose)
+    def objective(pose, derivatives=True):
+        return score(grids, pts, pose, derivatives)
 
     return newton_ascent(objective, initial, opts)
 

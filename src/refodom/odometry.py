@@ -185,6 +185,8 @@ class Odometry:
     # -- per-scan processing ------------------------------------------------
 
     def process_scan(self, scan: LaserScan) -> OdometryOutput:
+        if not math.isfinite(scan.timestamp):
+            raise ValueError(f"scan timestamp must be finite ({scan.timestamp})")
         if self.last_timestamp is not None and scan.timestamp <= self.last_timestamp:
             raise ValueError(
                 f"scan timestamps must be strictly increasing "

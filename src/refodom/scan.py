@@ -78,6 +78,8 @@ class LaserScan:
         intensities = np.asarray(intensities, dtype=float)
         if ranges.shape != intensities.shape or ranges.ndim != 1:
             raise ValueError("ranges and intensities must be 1-D arrays of equal length")
+        if np.any(np.isinf(ranges)):
+            raise ValueError("ranges must be finite or NaN")
         if np.any(ranges[np.isfinite(ranges)] < 0):
             raise ValueError("ranges must be non-negative or NaN")
         ranges.flags.writeable = False

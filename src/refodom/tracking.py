@@ -188,17 +188,21 @@ def cost_tracks(current: dict[int, np.ndarray], reference: dict[int, np.ndarray]
     return total
 
 
-def _track_cost_terms(cur_pts: np.ndarray, ref_pts: np.ndarray, pose: Pose2D):
-    """Quadratic track cost with gradient and Hessian w.r.t. (x, y, theta)."""
+def _track_cost_terms(cur_pts: np.ndarray, ref_pts: np.ndarray, pose: Pose2D,
+                      derivatives: bool = True):
+    """Quadratic track cost with gradient and Hessian w.r.t. (x, y, theta);
+    the gradient and Hessian are None when derivatives is False."""
     if len(cur_pts) == 0:
-        return 0.0, np.zeros(3), np.zeros((3, 3))
+        return (0.0, np.zeros(3), np.zeros((3, 3))) if derivatives else (0.0, None, None)
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     R = np.array([[c, -s], [s, c]])
-    dR = np.array([[-s, -c], [c, -s]])
     u = cur_pts @ R.T + np.array([pose.x, pose.y]) - ref_pts  # (K,2)
+    cost = float(np.einsum("ki,ki->", u, u))
+    if not derivatives:
+        return cost, None, None
+    dR = np.array([[-s, -c], [c, -s]])
     jt = cur_pts @ dR.T                                       # du/dtheta
     d2 = -(cur_pts @ R.T)                                     # d2u/dtheta2
-    cost = float(np.einsum("ki,ki->", u, u))
     grad = np.zeros(3)
     grad[0] = 2.0 * float(u[:, 0].sum())
     grad[1] = 2.0 * float(u[:, 1].sum())
@@ -213,10 +217,14 @@ def _track_cost_terms(cur_pts: np.ndarray, ref_pts: np.ndarray, pose: Pose2D):
 
 
 def tracked_score(grids, points: np.ndarray, cur_pts, ref_pts,
-                  w_tracks: float, pose: Pose2D):
-    s, g, h, n_assoc, n_pts = score_terms(grids, points, pose)
-    cost, cg, ch = _track_cost_terms(cur_pts, ref_pts, pose)
+                  w_tracks: float, pose: Pose2D, derivatives: bool = True):
+    """NDT score minus the weighted track cost, with gradient and Hessian
+    (None when derivatives is False) and the NDT association ratio."""
+    s, g, h, n_assoc, n_pts = score_terms(grids, points, pose, derivatives)
+    cost, cg, ch = _track_cost_terms(cur_pts, ref_pts, pose, derivatives)
     ratio = n_assoc / n_pts if n_pts else 0.0
+    if not derivatives:
+        return s - w_tracks * cost, None, None, ratio
     return s - w_tracks * cost, g - w_tracks * cg, h - w_tracks * ch, ratio
 
 
@@ -234,7 +242,7 @@ def match_tracked(grids, points: np.ndarray, current_tracks: dict,
     cur = np.array([current_tracks[i] for i in shared], dtype=float).reshape(-1, 2)
     ref = np.array([reference_tracks[i] for i in shared], dtype=float).reshape(-1, 2)
 
-    def objective(pose):
-        return tracked_score(grids, pts, cur, ref, w_tracks, pose)
+    def objective(pose, derivatives=True):
+        return tracked_score(grids, pts, cur, ref, w_tracks, pose, derivatives)
 
     return newton_ascent(objective, initial, opts)

@@ -235,7 +235,7 @@ def test_ascent_never_decreases_score(capsys):
     for _ in range(20):
         cloud, _ = _random_scene(rng)
         grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-        objective = lambda p: score(grids, cloud, p)  # noqa: E731
+        objective = lambda p, derivatives=True: score(grids, cloud, p, derivatives)  # noqa: E731
         initial = Pose2D(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2),
                          rng.uniform(-0.1, 0.1))
         prev = objective(initial)[0]

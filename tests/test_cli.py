@@ -110,6 +110,18 @@ def test_odometry_config_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_odometry_config_bad_match_options(tmp_path, capsys):
+    sim = simulate_room(tmp_path, capsys)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"match": {"max_iterations": -3}}))
+    code, _, err = run(["odometry", "--scans", str(sim / "scans.jsonl"),
+                        "--mode", "plain", "--config", str(cfg_file),
+                        "--out", str(tmp_path / "odo")], capsys)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "max_iterations" in err
+
+
 def test_pr_command(tmp_path, capsys):
     out = tmp_path / "sim"
     wp = tmp_path / "wp.txt"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from refodom.geometry import Pose2D, transform_points
+from refodom.layers import LayeredGrids, build_marker_layer, layered_score
 from refodom.ndt import (DEFAULT_CELL_SIZE, EIG_RATIO_FLOOR, GRID_SHIFTS,
                          MatchOptions, MIN_CELL_POINTS, build_grids, match,
                          newton_ascent, score, score_terms)
+from refodom.tracking import tracked_score
 
 
 def wall_cloud(rng=None, n=400):
@@ -168,8 +170,8 @@ def test_newton_score_never_decreases_with_iterations():
     cloud = wall_cloud(rng)
     grids = build_grids(cloud, DEFAULT_CELL_SIZE)
 
-    def objective(pose):
-        return score(grids, cloud, pose)
+    def objective(pose, derivatives=True):
+        return score(grids, cloud, pose, derivatives)
 
     initial = Pose2D(0.2, -0.15, 0.05)
     prev = -np.inf
@@ -189,7 +191,8 @@ def test_step_respects_trust_region():
     opts = MatchOptions(max_iterations=1, max_step_translation=0.1,
                         max_step_rotation=0.05)
     initial = Pose2D(0.4, 0.4, 0.2)
-    result = newton_ascent(lambda p: score(grids, cloud, p), initial, opts)
+    result = newton_ascent(lambda p, derivatives=True: score(grids, cloud, p, derivatives),
+                           initial, opts)
     assert math.hypot(result.pose.x - initial.x, result.pose.y - initial.y) <= 0.1 + 1e-9
     assert abs(result.pose.theta - initial.theta) <= 0.05 + 1e-9
 
@@ -219,3 +222,100 @@ def test_debug_dump_parses():
     for row in rows:
         assert len(row) == 8
         float(row[2]); float(row[4])
+
+
+def test_match_options_validation():
+    MatchOptions(max_halvings=0, convergence_tol=0.0)
+    for bad in ({"max_iterations": 0}, {"max_iterations": -3},
+                {"max_halvings": -1}, {"convergence_tol": -1e-6},
+                {"convergence_tol": math.nan}, {"max_step_translation": 0.0},
+                {"max_step_rotation": -0.1}, {"max_step_rotation": math.nan}):
+        with pytest.raises(ValueError):
+            MatchOptions(**bad)
+
+
+def random_scene(rng):
+    cloud = wall_cloud(rng, n=int(rng.integers(100, 400)))
+    cloud = transform_points(Pose2D(*rng.uniform(-2, 2, 2), rng.uniform(-1, 1)), cloud)
+    markers = rng.uniform([0.5, 0.0], [5.5, 3.0], size=(3, 2))
+    return cloud, markers
+
+
+def test_score_only_equals_full_evaluation():
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        cloud, markers = random_scene(rng)
+        grids = build_grids(cloud, DEFAULT_CELL_SIZE)
+        layered = LayeredGrids(regular=grids, marker=build_marker_layer(markers))
+        ref = markers + rng.normal(0, 0.02, markers.shape)
+        pts = cloud[::3]
+        for _ in range(3):
+            pose = Pose2D(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-0.1, 0.1))
+            full = score_terms(grids, pts, pose)
+            only = score_terms(grids, pts, pose, derivatives=False)
+            assert only[1] is None and only[2] is None
+            assert (only[0], only[3], only[4]) == (full[0], full[3], full[4])
+            for objective in (
+                    lambda d: score(grids, pts, pose, d),
+                    lambda d: layered_score(layered, pts, markers, pose, d),
+                    lambda d: tracked_score(grids, pts, markers, ref, 500.0, pose, d)):
+                s_full, _, _, r_full = objective(True)
+                s_only, g, h, r_only = objective(False)
+                assert g is None and h is None
+                assert (s_only, r_only) == (s_full, r_full)
+
+
+def test_fused_lookup_equals_per_lattice_lookup():
+    from refodom.ndt import _KEY_OFFSET, _KEY_STRIDE, _LATTICE_SHIFT
+    rng = np.random.default_rng(5)
+    cell = DEFAULT_CELL_SIZE
+    grids = build_grids(wall_cloud(rng), cell)
+    # Points inside the map, exactly on the cell edges of every lattice, and
+    # far outside the map.
+    inside = rng.uniform([-0.5, -0.5], [8.5, 3.5], size=(500, 2))
+    edges = np.array([[i * cell / 2, j * cell / 2]
+                      for i in range(-2, 19) for j in range(-2, 9)])
+    outside = np.array([[-50.0, 1.0], [1e4, -1e4], [4.0, 1.5e3]])
+    points = np.vstack((inside, edges, outside))
+    rows, hit_pts, starts, n_assoc = grids.lookup(points)
+    assert len(starts) == len(GRID_SHIFTS) + 1
+    any_hit = np.zeros(len(points), dtype=bool)
+    for lat, grid in enumerate(grids):
+        assert np.shares_memory(grid.keys, grids.keys)
+        assert np.shares_memory(grid.means, grids.means)
+        assert np.shares_memory(grid.inv_covs, grids.inv_covs)
+        idx = grid.lookup(points)
+        sel = slice(starts[lat], starts[lat + 1])
+        assert np.array_equal(hit_pts[sel], np.nonzero(idx >= 0)[0])
+        assert np.array_equal(grids.keys[rows[sel]], grid.keys[idx[idx >= 0]])
+        assert np.array_equal(grids.means[rows[sel]], grid.means[idx[idx >= 0]])
+        assert np.array_equal(grids.inv_covs[rows[sel]], grid.inv_covs[idx[idx >= 0]])
+        # Independent oracle: each hit's cell, decoded from its key, holds
+        # the point in its half-open box.
+        cell_keys = grids.keys[rows[sel]] - (lat << _LATTICE_SHIFT)
+        ij = np.column_stack((cell_keys // _KEY_STRIDE - _KEY_OFFSET,
+                              cell_keys % _KEY_STRIDE - _KEY_OFFSET))
+        lo = grid.shift + ij * cell
+        p = points[hit_pts[sel]]
+        assert np.all((lo <= p) & (p < lo + cell))
+        any_hit |= idx >= 0
+    assert n_assoc == int(any_hit.sum())
+    assert not any_hit[-len(outside):].any()
+    assert any_hit[len(inside):-len(outside)].any()
+
+
+def test_newton_full_derivatives_once_per_accepted_step():
+    cloud = wall_cloud(np.random.default_rng(9))
+    grids = build_grids(cloud, DEFAULT_CELL_SIZE)
+    for iters in range(1, 5):
+        calls = {True: 0, False: 0}
+
+        def objective(pose, derivatives=True):
+            calls[derivatives] += 1
+            return score(grids, cloud, pose, derivatives)
+
+        result = newton_ascent(objective, Pose2D(0.2, -0.15, 0.05),
+                               MatchOptions(max_iterations=iters))
+        assert not result.converged   # every iteration took a step
+        assert calls[True] == result.iterations + 1
+        assert calls[False] >= result.iterations

@@ -8,7 +8,7 @@ from refodom.geometry import Pose2D
 from refodom.odometry import (KeyframeCriteria, Odometry, OdometryConfig,
                               read_trajectory, write_ground_truth,
                               write_trajectory)
-from refodom.scan import get_sensor
+from refodom.scan import LaserScan, get_sensor
 from refodom.simulator import (SimConfig, builtin_trajectory, builtin_worlds,
                                simulate_scan, simulate_trajectory)
 
@@ -51,6 +51,18 @@ def test_out_of_order_scan_rejected():
     scans, _ = room_scans(x1=2.4)
     odo = Odometry(OdometryConfig())
     odo.process_scan(scans[1])
+    with pytest.raises(ValueError):
+        odo.process_scan(scans[0])
+
+
+def test_non_finite_timestamp_rejected():
+    scans, _ = room_scans(x1=2.4)
+    odo = Odometry(OdometryConfig())
+    odo.process_scan(scans[1])
+    for t in (math.nan, math.inf):
+        s = scans[2]
+        with pytest.raises(ValueError):
+            odo.process_scan(LaserScan(t, s.start_angle, s.ranges, s.intensities, s.spec))
     with pytest.raises(ValueError):
         odo.process_scan(scans[0])
 

@@ -60,6 +60,13 @@ def test_scan_shape_validation():
         LaserScan(0.0, 0.0, np.array([-1.0]), np.array([0.0]), spec)
 
 
+def test_scan_rejects_infinite_ranges():
+    spec = get_sensor("lms151")
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            LaserScan(0.0, 0.0, np.array([1.0, bad, np.nan]), np.zeros(3), spec)
+
+
 def test_scan_arrays_read_only():
     scan = make_scan()
     with pytest.raises(ValueError):
