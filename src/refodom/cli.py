@@ -115,14 +115,19 @@ def cmd_detect(args) -> int:
 def _load_config(args) -> OdometryConfig:
     if args.config:
         rec = json.loads(Path(args.config).read_text())
+        if not isinstance(rec, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object")
         rec["mode"] = args.mode
-        return OdometryConfig.from_dict(rec)
+        try:
+            return OdometryConfig.from_dict(rec)
+        except TypeError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     return OdometryConfig(mode=args.mode)
 
 
 def cmd_odometry(args) -> int:
-    scans = read_scan_log(args.scans)
     config = _load_config(args)
+    scans = read_scan_log(args.scans)
     odo = Odometry(config)
     outputs, keyframes = odo.run(scans)
     out = Path(args.out)
@@ -157,7 +162,7 @@ def cmd_evaluate(args) -> int:
         (out / "report.txt").write_text(report.summary() + "\n")
         with open(out / "errors.txt", "w") as f:
             for k, e in enumerate(report.per_pose_errors):
-                f.write(f"{k} {e!r}\n")
+                f.write(f"{k} {float(e)!r}\n")
     return 0
 
 
@@ -173,6 +178,8 @@ def _parse_sweep(text: str):
 
 
 def cmd_pr(args) -> int:
+    if args.subsample < 1:
+        raise UsageError("--subsample must be >= 1")
     thresholds = _parse_sweep(args.sweep)
     scans = read_scan_log(args.scans)
     try:
@@ -186,8 +193,7 @@ def cmd_pr(args) -> int:
               file=sys.stderr)
         return 1
     records = [(scan, pose) for scan, (_, pose) in zip(scans, reference)]
-    if args.subsample > 1:
-        records = records[::args.subsample]
+    records = records[::args.subsample]
 
     if args.detector == "proposed":
         params = DetectorParams()
@@ -198,7 +204,8 @@ def cmd_pr(args) -> int:
     report = pr_sweep(records, labels, detector_fn, thresholds)
     lines = ["threshold precision recall tp fp fn"]
     for p in report.points:
-        lines.append(f"{p.threshold!r} {p.precision!r} {p.recall!r} {p.tp} {p.fp} {p.fn}")
+        lines.append(f"{float(p.threshold)!r} {float(p.precision)!r} "
+                     f"{float(p.recall)!r} {p.tp} {p.fp} {p.fn}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -4,6 +4,7 @@ grids and the match maximizes the weighted sum of both layer scores.
 Marker points may be too sparse to fill an NDT cell on their own, so each one
 is augmented with points synthesized on a surrounding circle before grid
 construction (construction only; synthesized points are never query points).
+The local map keeps one marker_table() per keyframe and merges them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose2D
-from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, NdtGrids,
-                  build_grids, newton_ascent, score_terms)
+from .ndt import (DEFAULT_CELL_SIZE, CellTable, MatchOptions, MatchResult,
+                  NdtGrids, build_grids, cell_table, is_cell_tables,
+                  newton_ascent, score_terms)
 
 DEFAULT_MARKER_WEIGHT = 10.0
 DEFAULT_SYNTH_RADIUS = 0.05  # m
@@ -56,11 +58,19 @@ def synthesize_marker_cloud(marker_points: np.ndarray, radius: float) -> np.ndar
     return np.vstack((pts, cloud.reshape(-1, 2)))
 
 
-def build_marker_layer(marker_points: np.ndarray, radius: float = DEFAULT_SYNTH_RADIUS,
+def marker_table(marker_points: np.ndarray, radius: float, cell_size: float) -> CellTable:
+    """Cell table of marker points augmented with synthesized circle points."""
+    return cell_table(synthesize_marker_cloud(marker_points, radius), cell_size)
+
+
+def build_marker_layer(markers, radius: float = DEFAULT_SYNTH_RADIUS,
                        cell_size: float = DEFAULT_CELL_SIZE) -> NdtGrids:
     """NDT grids over marker points augmented with synthesized circle points,
-    so even an isolated marker point yields a valid cell."""
-    return build_grids(synthesize_marker_cloud(marker_points, radius), cell_size)
+    so even an isolated marker point yields a valid cell. markers may also be
+    a list of marker_table()s, which are merged."""
+    if not is_cell_tables(markers):
+        markers = [marker_table(markers, radius, cell_size)]
+    return build_grids(markers, cell_size)
 
 
 def layered_score(g: LayeredGrids, regular_points: np.ndarray,

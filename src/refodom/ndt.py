@@ -167,11 +167,17 @@ def _regularize_covariances(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     l1r = np.maximum(l1, EIG_ABS_FLOOR)
     l2r = np.maximum(l2, np.maximum(EIG_RATIO_FLOOR * l1r, EIG_ABS_FLOOR))
 
-    # Eigenvector for l1: (b, l1 - a), or the x-axis when already diagonal.
-    vx = np.where(np.abs(b) > 1e-30, b, np.where(a >= c, 1.0, 0.0))
-    vy = np.where(np.abs(b) > 1e-30, l1 - a, np.where(a >= c, 0.0, 1.0))
+    # Eigenvector for l1: (l1 - c, b) if a >= c, else (b, l1 - a). The
+    # difference l1 - min(a, c) is a sum of two non-negative terms, so it does
+    # not cancel even when b is tiny or the cell is nearly isotropic. An
+    # isotropic cell (zero vector) takes the x-axis.
+    h = 0.5 * np.abs(a - c) + disc
+    vx = np.where(a >= c, h, b)
+    vy = np.where(a >= c, b, h)
     norm = np.sqrt(vx ** 2 + vy ** 2)
-    vx, vy = vx / norm, vy / norm
+    flat = norm == 0.0
+    norm[flat] = 1.0
+    vx, vy = np.where(flat, 1.0, vx / norm), vy / norm
 
     reg = np.empty_like(covs)
     reg[:, 0, 0] = l1r * vx * vx + l2r * vy * vy
@@ -186,44 +192,82 @@ def _regularize_covariances(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reg, inv
 
 
-def _lattice_cells(pts: np.ndarray, cell_size: float, shift: np.ndarray,
-                   lattice: int, min_points: int):
-    """Sorted keys, means, sample covariances and point counts of one
-    lattice's cells that hold at least min_points points."""
-    keys = _cell_keys(pts, shift, cell_size, lattice)
+@dataclass(frozen=True)
+class CellTable:
+    """Statistics of one point cloud's cells in all four lattices, keyed at
+    cell_size: packed keys (the NdtGrids.keys layout, sorted), point counts,
+    means and centred second moments (xx, xy, yy). Every occupied cell is
+    kept, however few its points, so that tables of several clouds merge
+    into exactly the cells of their union."""
+
+    cell_size: float
+    keys: np.ndarray    # (m,) int64
+    counts: np.ndarray  # (m,) int64
+    means: np.ndarray   # (m, 2)
+    m2: np.ndarray      # (m, 3)
+
+
+def _merge_rows(keys, counts, means, m2):
+    """Group rows by key and merge each group with the pairwise update of
+    Chan, Golub & LeVeque: N = sum n_i, mu = sum n_i mu_i / N and
+    M2 = sum [M2_i + n_i (mu_i - mu)(mu_i - mu)^T]. Returns the merged rows
+    in key order."""
+    if len(keys) == 0:
+        return keys, counts, means, m2
     order = np.argsort(keys, kind="stable")
-    pts_sorted = pts[order]
-    uniq_keys, starts, counts = np.unique(keys[order], return_index=True,
-                                          return_counts=True)
-    keep = counts >= min_points
-    uniq_keys, starts, counts = uniq_keys[keep], starts[keep], counts[keep]
-    m = len(uniq_keys)
-    means = np.empty((m, 2))
-    covs = np.empty((m, 2, 2))
-    for k in range(m):
-        seg = pts_sorted[starts[k]:starts[k] + counts[k]]
-        mu = seg.mean(axis=0)
-        d = seg - mu
-        means[k] = mu
-        covs[k] = d.T @ d / (counts[k] - 1)
-    return uniq_keys, means, covs, counts
+    keys, counts = keys[order], counts[order]
+    means, m2 = means.take(order, axis=0), m2.take(order, axis=0)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    n = np.add.reduceat(counts, starts)
+    mu = np.add.reduceat(counts[:, None] * means, starts) / n[:, None]
+    d = means - np.repeat(mu, np.diff(np.r_[starts, len(keys)]), axis=0)
+    nd = counts[:, None] * d
+    spread = np.column_stack((nd[:, 0] * d[:, 0], nd[:, 0] * d[:, 1],
+                              nd[:, 1] * d[:, 1]))
+    return keys[starts], n, mu, np.add.reduceat(m2 + spread, starts)
 
 
-def build_grids(points: np.ndarray, cell_size: float,
-                min_points: int = MIN_CELL_POINTS) -> NdtGrids:
-    """Build the four half-cell-shifted NDT grids for a point cloud."""
+def cell_table(points: np.ndarray, cell_size: float) -> CellTable:
+    """Cell table of a point cloud: each point is a one-point cell in each
+    lattice, merged by key."""
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     shifts = np.array(GRID_SHIFTS) * cell_size
-    # Cells are computed a lattice at a time, which bounds the temporaries by
-    # one lattice's, then concatenated in lattice order into the shared table.
-    cells = [_lattice_cells(pts, cell_size, shifts[l], l, min_points)
-             for l in range(len(GRID_SHIFTS))]
-    keys, means, covs, counts = (np.concatenate(a) for a in zip(*cells))
+    keys = _cell_keys(pts, shifts[:, None, :], cell_size, _LATTICES[:, None]).ravel()
+    rows = len(keys)
+    merged = _merge_rows(keys, np.ones(rows, dtype=np.int64),
+                         np.tile(pts, (len(GRID_SHIFTS), 1)), np.zeros((rows, 3)))
+    return CellTable(cell_size, *merged)
+
+
+def is_cell_tables(source) -> bool:
+    """True for a non-empty list or tuple of CellTables."""
+    return (isinstance(source, (list, tuple)) and len(source) > 0
+            and all(isinstance(t, CellTable) for t in source))
+
+
+def build_grids(source, cell_size: float,
+                min_points: int = MIN_CELL_POINTS) -> NdtGrids:
+    """Build the four half-cell-shifted NDT grids of a point cloud, or of the
+    union of the clouds whose CellTables are given: the tables are merged,
+    cells with fewer than min_points points dropped and the sample
+    covariances (ddof=1) regularized."""
+    if cell_size <= 0:
+        raise ValueError("cell_size must be positive")
+    tables = source if is_cell_tables(source) else [cell_table(source, cell_size)]
+    if any(t.cell_size != cell_size for t in tables):
+        raise ValueError(f"cell tables were not keyed at cell_size {cell_size}")
+    keys, counts, means, m2 = _merge_rows(*(np.concatenate(a) for a in zip(
+        *((t.keys, t.counts, t.means, t.m2) for t in tables))))
+    keep = counts >= min_points
+    keys, counts, means, m2 = keys[keep], counts[keep], means[keep], m2[keep]
+    # take() keeps the table C-contiguous, which the per-scan gathers rely on.
+    covs = (m2 / (counts - 1)[:, None]).take([0, 1, 1, 2], axis=1).reshape(-1, 2, 2)
     covs, inv_covs = _regularize_covariances(covs) if len(keys) else (covs, covs.copy())
     counts = counts.astype(float)
-    bounds = np.cumsum([0] + [len(c[0]) for c in cells])
+    shifts = np.array(GRID_SHIFTS) * cell_size
+    bounds = np.searchsorted(keys, np.arange(len(GRID_SHIFTS) + 1) << _LATTICE_SHIFT)
     lattices = [
         NdtGrid(cell_size, shifts[l], l, *(a[lo:hi] for a in
                                            (keys, means, covs, inv_covs, counts)))

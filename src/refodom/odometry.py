@@ -11,15 +11,16 @@ fails, the constant-velocity prediction is emitted with inflated covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .detector import DetectorParams, detect
-from .geometry import Pose2D, compose, inverse, relative, transform_points, wrap_angle
+from .geometry import Pose2D, compose, relative, transform_points
 from .layers import (DEFAULT_MARKER_WEIGHT, DEFAULT_SYNTH_RADIUS, LayeredGrids,
-                     build_marker_layer, match_layered, split_points)
-from .ndt import DEFAULT_CELL_SIZE, MatchOptions, MatchResult, build_grids, match
+                     build_marker_layer, marker_table, match_layered, split_points)
+from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, build_grids,
+                  cell_table, match)
 from .scan import LaserScan
 from .tracking import (DEFAULT_W_TRACKS, Tracker, TrackerParams,
                        match_tracked, merge_reference_tracks)
@@ -74,18 +75,25 @@ class OdometryConfig:
         for key, sub in (("detector", DetectorParams), ("tracker", TrackerParams),
                          ("criteria", KeyframeCriteria), ("match", MatchOptions)):
             if key in rec and isinstance(rec[key], dict):
-                rec[key] = sub(**rec[key])
-        return cls(**rec)
+                rec[key] = _from_fields(sub, rec[key], f"{key}.")
+        return _from_fields(cls, rec)
+
+
+def _from_fields(cls, rec: dict, prefix: str = ""):
+    """cls(**rec), with a ValueError naming any key that is not a field."""
+    unknown = sorted(set(rec) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("unknown config key(s): "
+                         + ", ".join(prefix + str(k) for k in unknown))
+    return cls(**rec)
 
 
 @dataclass
 class Keyframe:
-    scan: LaserScan
+    timestamp: float
     pose: Pose2D
-    detections: list
-    regular_points: np.ndarray      # odometry frame
-    marker_points: np.ndarray       # odometry frame
-    tracks_snapshot: dict           # mature track id -> position (odometry frame)
+    tables: tuple                   # one CellTable per map layer (odometry frame)
+    tracks_snapshot: dict           # track id -> position (odometry frame)
 
 
 @dataclass
@@ -100,65 +108,68 @@ class OdometryOutput:
 @dataclass
 class _ProcessedScan:
     """Cache of the most recent scan that passed the keyframe checks."""
-    scan: LaserScan
+    timestamp: float
     pose: Pose2D
-    detections: list
     regular_sensor: np.ndarray
     marker_sensor: np.ndarray
 
 
 class LocalMap:
-    """Bounded FIFO of keyframes; grids are rebuilt from scratch on change so
-    the map is always exactly what the buffer contents imply."""
+    """Bounded FIFO of keyframes. A keyframe's points enter the map once, as
+    one ndt.CellTable per map layer; on every change the window's tables are
+    merged into the grids, so the map is always exactly what the points of
+    the keyframes in the window imply.
+
+    Layers: plain mode keeps regular and marker points in one layer; tracking
+    mode keeps the regular points only; layer mode keeps the regular points
+    and, as a second layer, the synthesized marker cloud."""
 
     def __init__(self, config: OdometryConfig):
         self.config = config
         self.keyframes: list[Keyframe] = []
-        self.grids = None           # plain/tracking: regular grids
-        self.layered: LayeredGrids | None = None
+        self.grids = None           # the first layer's grids
+        self.layered: LayeredGrids | None = None  # layer mode: both layers
 
     def __len__(self):
         return len(self.keyframes)
 
-    def add(self, keyframe: Keyframe):
-        self.keyframes.append(keyframe)
-        if len(self.keyframes) > self.config.n_keyframes:
-            self.keyframes.pop(0)
-        self.rebuild()
-
-    def rebuild(self):
+    def add(self, timestamp: float, pose: Pose2D, regular: np.ndarray,
+            marker: np.ndarray, tracks_snapshot: dict):
+        """Enter a keyframe from its odometry-frame regular and marker
+        points, (n, 2) arrays, evict the oldest past n_keyframes and rebuild
+        the grids."""
         cfg = self.config
-        if cfg.mode == "layer":
-            regular = _stack([k.regular_points for k in self.keyframes])
-            marker = _stack([k.marker_points for k in self.keyframes])
-            self.layered = LayeredGrids(
-                regular=build_grids(regular, cfg.cell_size),
-                marker=build_marker_layer(marker, cfg.synth_radius, cfg.cell_size),
-                marker_weight=cfg.marker_weight,
-                synth_radius=cfg.synth_radius,
-            )
+        if cfg.mode == "plain":
+            tables = (cell_table(np.vstack((regular, marker)), cfg.cell_size),)
         elif cfg.mode == "tracking":
             # Markers are carried by the track references; folding their
             # tight point clusters into the grids would add a second, keyframe
             # pose dependent anchor that fights the track term.
-            regular = _stack([k.regular_points for k in self.keyframes])
-            self.grids = build_grids(regular, cfg.cell_size)
+            tables = (cell_table(regular, cfg.cell_size),)
         else:
-            pts = _stack([np.vstack((k.regular_points.reshape(-1, 2),
-                                     k.marker_points.reshape(-1, 2)))
-                          for k in self.keyframes])
-            self.grids = build_grids(pts, cfg.cell_size)
+            tables = (cell_table(regular, cfg.cell_size),
+                      marker_table(marker, cfg.synth_radius, cfg.cell_size))
+        self.keyframes.append(Keyframe(timestamp, pose, tables, tracks_snapshot))
+        if len(self.keyframes) > cfg.n_keyframes:
+            self.keyframes.pop(0)
+        self.rebuild()
+
+    def rebuild(self):
+        """Merge the window's cell tables into the grids of each layer."""
+        cfg = self.config
+        regular, *marker = zip(*(k.tables for k in self.keyframes))
+        self.grids = build_grids(regular, cfg.cell_size)
+        if marker:
+            self.layered = LayeredGrids(
+                regular=self.grids,
+                marker=build_marker_layer(marker[0], cfg.synth_radius, cfg.cell_size),
+                marker_weight=cfg.marker_weight,
+                synth_radius=cfg.synth_radius,
+            )
 
     def reference_tracks(self) -> dict:
         return merge_reference_tracks((k.tracks_snapshot for k in self.keyframes),
                                       self.config.duplicate_track_policy)
-
-
-def _stack(arrays):
-    arrays = [np.asarray(a, dtype=float).reshape(-1, 2) for a in arrays]
-    if not arrays:
-        return np.empty((0, 2))
-    return np.vstack(arrays)
 
 
 class Odometry:
@@ -201,28 +212,22 @@ class Odometry:
         # redundant) regular returns to bound per-scan cost.
         reg_match = regular[::cfg.match_stride]
 
+        centers = np.array([d.center for d in detections], dtype=float).reshape(-1, 2)
+
         if not self.local_map.keyframes:
-            return self._bootstrap(scan, detections, regular, marker)
+            return self._bootstrap(scan.timestamp, centers, regular, marker)
 
         initial = self._predict()
         newly_mature: set = set()
         current_tracks: dict = {}
 
         if cfg.mode == "tracking":
-            centers_sensor = np.array([d.center for d in detections],
-                                      dtype=float).reshape(-1, 2)
-            centers_odom = transform_points(initial, centers_sensor)
-            assignments = self.tracker.assign(centers_odom)
-            mature_ids = set(self.tracker.mature_tracks())
-            for di, tj in assignments:
-                track = self.tracker.tracks[tj]
-                if track.track_id in mature_ids:
-                    current_tracks[track.track_id] = centers_sensor[di]
+            assignments, current_tracks = self._assign_tracks(centers, initial)
 
         result = self._match(reg_match, marker, current_tracks, initial)
 
         if cfg.mode == "tracking":
-            centers_final = transform_points(result.pose, centers_sensor)
+            centers_final = transform_points(result.pose, centers)
             newly_mature = self.tracker.update(centers_final, assignments)
             self._log_tracks(scan.timestamp)
 
@@ -235,7 +240,8 @@ class Odometry:
             is_keyframe = self._promote_cached_keyframe()
             if is_keyframe:
                 if cfg.mode == "tracking":
-                    current_tracks = self._refresh_current_tracks(detections, result.pose)
+                    # The tracker changed; re-derive the mature tracks in view.
+                    _, current_tracks = self._assign_tracks(centers, result.pose)
                 result = self._match(reg_match, marker, current_tracks, initial)
                 ok, _ = self._check(result, n_points)
             if not ok:
@@ -244,7 +250,7 @@ class Odometry:
                 return OdometryOutput(scan.timestamp, initial, is_keyframe, False, cov)
 
         self.pose_history.append(result.pose)
-        self.last_passing = _ProcessedScan(scan, result.pose, detections,
+        self.last_passing = _ProcessedScan(scan.timestamp, result.pose,
                                            regular, marker)
         return OdometryOutput(scan.timestamp, result.pose, is_keyframe, True,
                               self._covariance(result))
@@ -256,16 +262,28 @@ class Odometry:
 
     # -- internals ----------------------------------------------------------
 
-    def _bootstrap(self, scan, detections, regular, marker) -> OdometryOutput:
+    def _bootstrap(self, timestamp, centers, regular, marker) -> OdometryOutput:
         pose = Pose2D()
         if self.tracker is not None:
-            centers = np.array([d.center for d in detections], dtype=float).reshape(-1, 2)
             self.tracker.update(transform_points(pose, centers))
-            self._log_tracks(scan.timestamp)
-        self._add_keyframe(scan, pose, detections, regular, marker)
+            self._log_tracks(timestamp)
+        self.last_passing = _ProcessedScan(timestamp, pose, regular, marker)
+        self._promote_cached_keyframe()
         self.pose_history.append(pose)
-        self.last_passing = _ProcessedScan(scan, pose, detections, regular, marker)
-        return OdometryOutput(scan.timestamp, pose, True, True, np.eye(3) * 1e-6)
+        return OdometryOutput(timestamp, pose, True, True, np.eye(3) * 1e-6)
+
+    def _assign_tracks(self, centers_sensor, pose):
+        """Assign the scan's marker centers to tracks at a pose; returns the
+        assignments and, for each mature assigned track, its id -> the
+        center in the scan frame."""
+        assignments = self.tracker.assign(transform_points(pose, centers_sensor))
+        mature_ids = set(self.tracker.mature_tracks())
+        current = {}
+        for di, tj in assignments:
+            track_id = self.tracker.tracks[tj].track_id
+            if track_id in mature_ids:
+                current[track_id] = centers_sensor[di]
+        return assignments, current
 
     def _match(self, regular, marker, current_tracks, initial) -> MatchResult:
         cfg = self.config
@@ -299,43 +317,21 @@ class Odometry:
         return (not reasons), reasons
 
     def _promote_cached_keyframe(self) -> bool:
+        """Enter the last scan that passed the checks into the map, unless it
+        is already the newest keyframe."""
         cached = self.last_passing
         if cached is None:
             return False
-        if self.local_map.keyframes and \
-                self.local_map.keyframes[-1].scan.timestamp == cached.scan.timestamp:
+        keyframes = self.local_map.keyframes
+        if keyframes and keyframes[-1].timestamp == cached.timestamp:
             return False  # already in the map; nothing new to add
-        regular_odom = transform_points(cached.pose, cached.regular_sensor)
-        marker_odom = transform_points(cached.pose, cached.marker_sensor)
         snapshot = self.tracker.all_tracks() if self.tracker is not None else {}
-        kf = Keyframe(cached.scan, cached.pose, cached.detections,
-                      regular_odom, marker_odom, snapshot)
-        self.local_map.add(kf)
-        self.keyframe_log.append((cached.scan.timestamp, cached.pose))
+        self.local_map.add(cached.timestamp, cached.pose,
+                           transform_points(cached.pose, cached.regular_sensor),
+                           transform_points(cached.pose, cached.marker_sensor),
+                           snapshot)
+        self.keyframe_log.append((cached.timestamp, cached.pose))
         return True
-
-    def _add_keyframe(self, scan, pose, detections, regular, marker):
-        regular_odom = transform_points(pose, regular)
-        marker_odom = transform_points(pose, marker)
-        snapshot = self.tracker.all_tracks() if self.tracker is not None else {}
-        kf = Keyframe(scan, pose, detections, regular_odom, marker_odom, snapshot)
-        self.local_map.add(kf)
-        self.keyframe_log.append((scan.timestamp, pose))
-
-    def _refresh_current_tracks(self, detections, pose) -> dict:
-        """Re-derive the current scan's mature track positions (scan frame)
-        after the tracker state changed."""
-        centers_sensor = np.array([d.center for d in detections],
-                                  dtype=float).reshape(-1, 2)
-        centers_odom = transform_points(pose, centers_sensor)
-        assignments = self.tracker.assign(centers_odom)
-        mature_ids = set(self.tracker.mature_tracks())
-        current = {}
-        for di, tj in assignments:
-            track = self.tracker.tracks[tj]
-            if track.track_id in mature_ids:
-                current[track.track_id] = centers_sensor[di]
-        return current
 
     def _covariance(self, result: MatchResult, inflated: bool = False) -> np.ndarray:
         A = -result.hessian

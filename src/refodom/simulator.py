@@ -48,6 +48,9 @@ class World:
 
     def __post_init__(self):
         for m in self.markers:
+            if not 0 <= m.segment < len(self.segments):
+                raise ValueError(f"marker names segment {m.segment}, but the world "
+                                 f"has {len(self.segments)} segments")
             seg = self.segments[m.segment]
             length = math.dist(seg.p1, seg.p2)
             if not (m.width / 2 <= m.offset <= length - m.width / 2):
@@ -344,11 +347,16 @@ def world_to_json(world: World) -> str:
 
 def world_from_json(text: str) -> World:
     rec = json.loads(text)
-    segments = tuple(Segment(tuple(s["p1"]), tuple(s["p2"]),
-                             s.get("reflectivity", 1.0)) for s in rec["segments"])
-    markers = tuple(Marker(m["segment"], m["offset"], m.get("width", 0.05),
-                           m.get("reflectivity", 30.0)) for m in rec.get("markers", []))
-    return World(rec.get("name", "unnamed"), segments, markers)
+    try:
+        segments = tuple(Segment(tuple(s["p1"]), tuple(s["p2"]),
+                                 s.get("reflectivity", 1.0)) for s in rec["segments"])
+        markers = tuple(Marker(m["segment"], m["offset"], m.get("width", 0.05),
+                               m.get("reflectivity", 30.0)) for m in rec.get("markers", []))
+        return World(rec.get("name", "unnamed"), segments, markers)
+    except KeyError as exc:
+        raise ValueError(f"world JSON lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed world JSON: {exc}") from None
 
 
 def load_world(name_or_path: str) -> World:

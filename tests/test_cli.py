@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from refodom.cli import main
 
 
@@ -139,3 +141,71 @@ def test_pr_command(tmp_path, capsys):
     lines = pr_file.read_text().splitlines()
     assert lines[0].split() == ["threshold", "precision", "recall", "tp", "fp", "fn"]
     assert len(lines) == 4
+
+
+WALL = {"p1": [0.0, 0.0], "p2": [4.0, 0.0]}
+
+
+@pytest.mark.parametrize("rec, needle", [
+    ({"segments": [WALL], "markers": [{"segment": 3, "offset": 1.0}]}, "segment 3"),
+    ({"name": "empty", "markers": []}, "segments"),
+    ({"segments": [WALL], "markers": [{"segment": 0.5, "offset": 1.0}]}, "malformed"),
+    ({"segments": [WALL], "markers": [{"segment": 0, "offset": "a"}]}, "malformed"),
+    ([WALL], "malformed"),
+])
+def test_malformed_world_is_runtime_error(tmp_path, capsys, rec, needle):
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(rec))
+    code, _, err = run(["simulate", "--world", str(world), "--out",
+                        str(tmp_path / "sim")], capsys)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("rec, needle", [
+    ({"n_keyframe": 3, "match": {"max_iter": 5}}, "match.max_iter"),
+    ({"n_keyframes": "3"}, "cfg.json"),
+    ([3], "JSON object"),
+])
+def test_malformed_odometry_config_is_runtime_error(tmp_path, capsys, rec, needle):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(rec))
+    code, _, err = run(["odometry", "--scans", str(tmp_path / "scans.jsonl"),
+                        "--mode", "plain", "--config", str(cfg_file),
+                        "--out", str(tmp_path / "odo")], capsys)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert needle in err
+
+
+def test_pr_subsample_below_one_is_usage_error(tmp_path, capsys):
+    for value in ("0", "-2"):
+        code, _, err = run(["pr", "--scans", "x", "--world", "room", "--poses", "y",
+                            "--subsample", value], capsys)
+        assert code == 2
+        assert "--subsample" in err
+
+
+def test_text_outputs_hold_plain_floats(tmp_path, capsys):
+    sim = simulate_room(tmp_path, capsys)
+    code, _, _ = run(["evaluate", "--estimate", str(sim / "ground_truth.txt"),
+                      "--reference", str(sim / "ground_truth.txt"),
+                      "--out", str(tmp_path / "eval")], capsys)
+    assert code == 0
+    rows = (tmp_path / "eval" / "errors.txt").read_text().splitlines()
+    assert rows
+    for k, row in enumerate(rows):
+        index, error = row.split()
+        assert int(index) == k and float(error) == 0.0
+
+    pr_file = tmp_path / "pr.txt"
+    code, _, _ = run(["pr", "--scans", str(sim / "scans.jsonl"), "--world", "room",
+                      "--poses", str(sim / "ground_truth.txt"),
+                      "--sweep", "500:1500:3", "--subsample", "20",
+                      "--out", str(pr_file)], capsys)
+    assert code == 0
+    rows = pr_file.read_text().splitlines()[1:]
+    assert [float(row.split()[0]) for row in rows] == [500.0, 1000.0, 1500.0]
+    for row in rows:
+        assert all(float(v) >= 0.0 for v in row.split())

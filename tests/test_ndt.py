@@ -6,8 +6,8 @@ import pytest
 from refodom.geometry import Pose2D, transform_points
 from refodom.layers import LayeredGrids, build_marker_layer, layered_score
 from refodom.ndt import (DEFAULT_CELL_SIZE, EIG_RATIO_FLOOR, GRID_SHIFTS,
-                         MatchOptions, MIN_CELL_POINTS, build_grids, match,
-                         newton_ascent, score, score_terms)
+                         MatchOptions, MIN_CELL_POINTS, _regularize_covariances,
+                         build_grids, match, newton_ascent, score, score_terms)
 from refodom.tracking import tracked_score
 
 
@@ -65,6 +65,18 @@ def test_collinear_cell_regularized():
     assert evals[0] / evals[1] >= EIG_RATIO_FLOOR * (1 - 1e-9)
     inv = np.linalg.inv(grid.covs[0])
     assert grid.inv_covs[0] == pytest.approx(inv, rel=1e-9)
+
+
+def test_regularization_keeps_nearly_diagonal_and_isotropic_covariances():
+    # A tiny off-diagonal entry must not turn the eigenvector: computing it
+    # as (b, l1 - a) cancels in l1 - a and swapped or tilted these cells.
+    covs = np.array([[[0.3, 1e-15], [1e-15, 0.299999]],
+                     [[4e-4, 1e-19], [1e-19, 0.02]],
+                     [[0.02, -3e-18], [-3e-18, 4e-4]],
+                     [[0.2, 0.0], [0.0, 0.2]]])
+    reg, inv = _regularize_covariances(covs)
+    assert np.abs(reg - covs).max() <= 1e-15
+    assert np.abs(inv @ reg - np.eye(2)).max() <= 1e-12
 
 
 def test_lookup_empty_inputs():
@@ -280,6 +292,9 @@ def test_fused_lookup_equals_per_lattice_lookup():
     rows, hit_pts, starts, n_assoc = grids.lookup(points)
     assert len(starts) == len(GRID_SHIFTS) + 1
     any_hit = np.zeros(len(points), dtype=bool)
+    # The per-scan gathers read the table rows in place.
+    for table in (grids.keys, grids.means, grids.inv_covs):
+        assert table.flags["C_CONTIGUOUS"]
     for lat, grid in enumerate(grids):
         assert np.shares_memory(grid.keys, grids.keys)
         assert np.shares_memory(grid.means, grids.means)
