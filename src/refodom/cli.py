@@ -15,8 +15,6 @@ import argparse
 import json
 import math
 import sys
-import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,7 @@ from .evaluation import (DEFAULT_FAIL_THRESHOLD, compute_ate, labels_from_world,
 from .geometry import Pose2D
 from .odometry import (Odometry, OdometryConfig, read_trajectory,
                        write_ground_truth, write_track_log, write_trajectory)
-from .scan import SENSOR_PRESETS, get_sensor, read_scan_log, write_scan_log
+from .scan import get_sensor, read_scan_log, write_scan_log
 from .simulator import (SimConfig, builtin_trajectory, builtin_worlds,
                         load_world, simulate_trajectory, world_to_json)
 

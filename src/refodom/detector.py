@@ -9,7 +9,7 @@ incidence angle, predicted point count) before duplicates are merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,30 +112,53 @@ def expected_point_count(center, incidence: float, marker_width: float,
     return int(math.floor((alpha + beta) / resolution + 0.5)) + 2
 
 
-def _grow_wall_segment(points, finite, j, window):
-    """Extend [lo, hi] from beam j while neighbors stay within the Euclidean
-    window of p_j; stops at invalid beams and thus at depth jumps."""
+# Beams tested per side and step of the wall-segment growth.
+_GROW_CHUNK = 32
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of d (..., 2), bit for bit as
+    np.linalg.norm of the row: both take the BLAS dot of the row with itself."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def _grow_wall_segments(points, finite, seeds, window):
+    """Wall segment [lo, hi] around each seed beam j: the beams on either side
+    of j up to the first one that is not finite or lies farther than window
+    from p_j, so growth stops at invalid beams and thus at depth jumps.
+
+    All seeds grow at once, one side at a time: each step tests the next
+    _GROW_CHUNK beams of every seed still growing, as one (seeds, chunk)
+    array, and moves each seed's end to its first failing beam."""
     n = len(points)
-    pj = points[j]
-    lo = j
-    while lo - 1 >= 0 and finite[lo - 1] and np.linalg.norm(points[lo - 1] - pj) <= window:
-        lo -= 1
-    hi = j
-    while hi + 1 < n and finite[hi + 1] and np.linalg.norm(points[hi + 1] - pj) <= window:
-        hi += 1
-    return lo, hi
+    steps = np.arange(1, _GROW_CHUNK + 1)
+    ends = []
+    for side in (-1, 1):
+        end = seeds.copy()
+        growing = np.arange(len(seeds))
+        while len(growing):
+            beams = end[growing, None] + side * steps             # (g, chunk)
+            inside = (beams >= 0) & (beams < n)
+            beams = beams.clip(0, n - 1)
+            d = points[beams] - points[seeds[growing], None, :]
+            ok = inside & finite[beams] & (_row_norms(d) <= window)
+            run = np.where(ok.all(axis=1), _GROW_CHUNK, ok.argmin(axis=1))
+            end[growing] += side * run
+            growing = growing[run == _GROW_CHUNK]
+        ends.append(end)
+    return ends[0], ends[1]
 
 
-def _find_marker_borders(intensities, lo, hi, j, min_jump):
+def _find_marker_borders(jumps, lo, hi, j, min_jump):
     """Locate the marker inside a wall segment from the largest intensity
-    jumps. Returns (start, end) beam indices or None.
+    jumps, given the scan's np.diff(intensities). Returns (start, end) beam
+    indices or None.
 
     The border is inclusive on the upward jump and exclusive on the downward
     one. Among near-equal maximal jumps the outermost is taken (see
     _JUMP_TIE_REL).
     """
-    seg = intensities[lo:hi + 1]
-    jumps = np.diff(seg)  # jumps[k] = I[lo+k+1] - I[lo+k]
+    jumps = jumps[lo:hi]  # jumps[k] = I[lo+k+1] - I[lo+k]
     if len(jumps) == 0:
         return None
     up_max = jumps.max()
@@ -176,15 +199,15 @@ def detect(scan: LaserScan, params: DetectorParams | None = None,
         & (ranges >= params.r_min) & (ranges <= params.r_max)
     )[0]
 
+    lo, hi = _grow_wall_segments(points, finite, candidate_idx, params.window)
+    big = ((hi - lo + 1 >= params.p_min)
+           & (_row_norms(points[lo] - points[hi]) >= params.l_min))
+
+    jumps = np.diff(intensities)
     raw = []
     seen_spans = set()
-    for j in candidate_idx:
-        lo, hi = _grow_wall_segment(points, finite, int(j), params.window)
-        if hi - lo + 1 < params.p_min:
-            continue
-        if np.linalg.norm(points[lo] - points[hi]) < params.l_min:
-            continue
-        borders = _find_marker_borders(intensities, lo, hi, int(j), min_jump)
+    for j, lo, hi in zip(candidate_idx[big].tolist(), lo[big].tolist(), hi[big].tolist()):
+        borders = _find_marker_borders(jumps, lo, hi, j, min_jump)
         if borders is None:
             continue
         start, end = borders

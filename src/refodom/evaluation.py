@@ -10,7 +10,7 @@ margin, with false negatives counted per visible box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,7 +10,7 @@ The local map keeps one marker_table() per keyframe and merges them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,19 +22,34 @@ EIG_ABS_FLOOR = 1e-6  # m^2
 
 # Cell coordinate packing into a single int64 key for vectorized lookup. A
 # cell key is below 2**50; the lattice index sits above it, so the keys of all
-# four lattices sort into one table, lattice by lattice.
+# four lattices sort into one table, lattice by lattice. Half-cell keys use
+# the same packing without a lattice index.
 _KEY_OFFSET = 1 << 24
 _KEY_STRIDE = 1 << 25
 _LATTICE_SHIFT = 51
 _LATTICES = np.arange(len(GRID_SHIFTS))
+# Each lattice's shift in half cells: 0 or 1 per axis.
+_HALF_SHIFTS = (2 * np.array(GRID_SHIFTS)).astype(np.int64)
 
 
-def _cell_keys(points, shift, cell_size: float, lattice) -> np.ndarray:
-    """Packed key of the cell holding each point; shift (..., 2) and lattice
-    broadcast against the points, so one call can key every lattice."""
-    ij = np.floor((points - shift) / cell_size).astype(np.int64)
-    return ((lattice << _LATTICE_SHIFT) + (ij[..., 0] + _KEY_OFFSET) * _KEY_STRIDE
-            + (ij[..., 1] + _KEY_OFFSET))
+def _pack(ix, iy):
+    return (ix + _KEY_OFFSET) * _KEY_STRIDE + (iy + _KEY_OFFSET)
+
+
+# Key offset of the half cell at each corner of a cell, per (corner,
+# lattice): _pack is affine, so the half cell 2 (i, j) + h of cell (i, j) has
+# the key 2 _pack(i, j) + _pack(h) - 2 _pack(0, 0), where h is the lattice's
+# half shift plus the corner.
+_HALF_CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])[:, None, :] + _HALF_SHIFTS
+_CORNER_KEYS = _pack(_HALF_CORNERS[..., 0], _HALF_CORNERS[..., 1]) - 2 * _pack(0, 0)
+
+
+def _half_cells(points, cell_size: float) -> np.ndarray:
+    """Half-cell index q = floor(p * 2 / cell_size) of each point, (n, 2)
+    int64. The half-cell q lies in exactly one cell of each lattice: for the
+    lattice shifted by (a, b) half a cell, ((q_x - 2a) >> 1, (q_y - 2b) >> 1).
+    Both the cell tables and the lookup key points through it."""
+    return np.floor(points / (0.5 * cell_size)).astype(np.int64)
 
 
 @dataclass
@@ -68,16 +83,13 @@ class MatchResult:
 
 class NdtGrid:
     """One shifted lattice of Gaussian cells, stored as flat arrays sorted by
-    packed cell key for O(log n) vectorized lookup. The arrays are views into
-    the lattice's slice of its NdtGrids table."""
+    packed cell key. The arrays are views into the lattice's slice of its
+    NdtGrids table, which does the lookup."""
 
-    __slots__ = ("cell_size", "shift", "lattice", "keys", "means", "covs",
-                 "inv_covs", "counts")
+    __slots__ = ("shift", "keys", "means", "covs", "inv_covs", "counts")
 
-    def __init__(self, cell_size, shift, lattice, keys, means, covs, inv_covs, counts):
-        self.cell_size = cell_size
+    def __init__(self, shift, keys, means, covs, inv_covs, counts):
         self.shift = shift
-        self.lattice = lattice
         self.keys = keys
         self.means = means
         self.covs = covs
@@ -87,48 +99,30 @@ class NdtGrid:
     def __len__(self):
         return len(self.keys)
 
-    def lookup(self, points: np.ndarray) -> np.ndarray:
-        """Index of the containing cell per point, -1 if the cell is empty."""
-        if len(self.keys) == 0 or len(points) == 0:
-            return np.full(len(points), -1, dtype=np.int64)
-        keys = _cell_keys(points, self.shift, self.cell_size, self.lattice)
-        pos = np.searchsorted(self.keys, keys)
-        pos = np.clip(pos, 0, len(self.keys) - 1)
-        out = np.where(self.keys[pos] == keys, pos, -1)
-        return out
-
-    def debug_dump(self) -> str:
-        """Cell coordinates, mean, covariance as delimited text."""
-        lines = []
-        base = self.lattice << _LATTICE_SHIFT
-        for k in range(len(self.keys)):
-            key = int(self.keys[k]) - base
-            ix = key // _KEY_STRIDE - _KEY_OFFSET
-            iy = key % _KEY_STRIDE - _KEY_OFFSET
-            m = self.means[k]
-            c = self.covs[k]
-            lines.append(" ".join(repr(v) for v in
-                                  [ix, iy, float(m[0]), float(m[1]),
-                                   float(c[0, 0]), float(c[0, 1]), float(c[1, 1]),
-                                   int(self.counts[k])]))
-        return "\n".join(lines)
-
 
 class NdtGrids:
     """The four half-cell-shifted lattices of one point cloud, and one table
     over all of their cells: keys sorted with the lattice index in the high
     bits, with the cell means and inverse covariances in the same order.
-    Indexing and iteration give the per-lattice NdtGrid views."""
+    Indexing and iteration give the per-lattice NdtGrid views.
 
-    __slots__ = ("cell_size", "shifts", "keys", "means", "inv_covs", "lattices")
+    The lookup goes through the half cells that the cells cover: half_keys
+    holds the sorted packed keys of the H half cells covered by at least one
+    cell, and half_rows (4, H) the table row of the covering cell in each
+    lattice, or -1. A cell covers four half cells, so H is at most four
+    times the number of cells, wherever the points lie."""
 
-    def __init__(self, cell_size, shifts, keys, means, inv_covs, lattices):
+    __slots__ = ("cell_size", "keys", "means", "inv_covs", "lattices",
+                 "half_keys", "half_rows")
+
+    def __init__(self, cell_size, keys, means, inv_covs, lattices, half_keys, half_rows):
         self.cell_size = cell_size
-        self.shifts = shifts
         self.keys = keys
         self.means = means
         self.inv_covs = inv_covs
         self.lattices = lattices
+        self.half_keys = half_keys
+        self.half_rows = half_rows
 
     def __len__(self):
         return len(self.lattices)
@@ -143,15 +137,39 @@ class NdtGrids:
         """Every (lattice, point) pair whose cell is filled, lattice-major
         with points in order: (table row per hit, point index per hit, the
         hit offset where each lattice starts plus the total, number of points
-        with at least one hit). The table must hold at least one cell."""
-        keys = _cell_keys(points, self.shifts[:, None, :], self.cell_size,
-                          _LATTICES[:, None]).ravel()
-        pos = np.searchsorted(self.keys, keys)
-        np.minimum(pos, len(self.keys) - 1, out=pos)
-        hit = (self.keys[pos] == keys).reshape(len(_LATTICES), -1)
+        with at least one hit). Each point is keyed once, by its half cell.
+        The table must hold at least one cell."""
+        q = _half_cells(points, self.cell_size)
+        keys = _pack(q[:, 0], q[:, 1])
+        pos = np.searchsorted(self.half_keys, keys)
+        np.minimum(pos, len(self.half_keys) - 1, out=pos)
+        found = self.half_keys[pos] == keys
+        rows = self.half_rows.take(pos, axis=1)               # (4, N)
+        hit = (rows >= 0) & found
         lattice, point = np.nonzero(hit)
         starts = np.searchsorted(lattice, np.arange(len(_LATTICES) + 1))
-        return pos[hit.ravel()], point, starts, int(hit.any(axis=0).sum())
+        # Every half cell in the table lies in a filled cell.
+        return rows[hit], point, starts, int(np.count_nonzero(found))
+
+
+def _half_cell_table(keys: np.ndarray):
+    """(half_keys, half_rows) of NdtGrids for a sorted cell-key table: the
+    four half cells of each cell, merged by key, with the cell's row in its
+    lattice's row of half_rows."""
+    lattice = keys >> _LATTICE_SHIFT
+    cell = keys - (lattice << _LATTICE_SHIFT)
+    # Corner-major, so the keys form 16 sorted runs that the stable sort
+    # merges.
+    half = (2 * cell + _CORNER_KEYS.take(lattice, axis=1)).ravel()
+    order = np.argsort(half, kind="stable")
+    half = half[order]
+    first = np.ones(len(half), dtype=bool)
+    first[1:] = half[1:] != half[:-1]
+    n_half = np.count_nonzero(first)
+    row = order % max(len(keys), 1)
+    half_rows = np.full(len(_LATTICES) * n_half, -1, dtype=np.int64)
+    half_rows[lattice.take(row) * n_half + np.cumsum(first) - 1] = row
+    return half[first], half_rows.reshape(len(_LATTICES), n_half)
 
 
 def _regularize_covariances(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +247,12 @@ def _merge_rows(keys, counts, means, m2):
 
 def cell_table(points: np.ndarray, cell_size: float) -> CellTable:
     """Cell table of a point cloud: each point is a one-point cell in each
-    lattice, merged by key."""
+    lattice, the cell that covers its half cell, merged by key."""
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    shifts = np.array(GRID_SHIFTS) * cell_size
-    keys = _cell_keys(pts, shifts[:, None, :], cell_size, _LATTICES[:, None]).ravel()
+    ij = (_half_cells(pts, cell_size) - _HALF_SHIFTS[:, None, :]) >> 1   # (4, n, 2)
+    keys = ((_LATTICES[:, None] << _LATTICE_SHIFT) + _pack(ij[..., 0], ij[..., 1])).ravel()
     rows = len(keys)
     merged = _merge_rows(keys, np.ones(rows, dtype=np.int64),
                          np.tile(pts, (len(GRID_SHIFTS), 1)), np.zeros((rows, 3)))
@@ -269,11 +287,10 @@ def build_grids(source, cell_size: float,
     shifts = np.array(GRID_SHIFTS) * cell_size
     bounds = np.searchsorted(keys, np.arange(len(GRID_SHIFTS) + 1) << _LATTICE_SHIFT)
     lattices = [
-        NdtGrid(cell_size, shifts[l], l, *(a[lo:hi] for a in
-                                           (keys, means, covs, inv_covs, counts)))
+        NdtGrid(shifts[l], *(a[lo:hi] for a in (keys, means, covs, inv_covs, counts)))
         for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
-    return NdtGrids(cell_size, shifts, keys, means, inv_covs, lattices)
+    return NdtGrids(cell_size, keys, means, inv_covs, lattices, *_half_cell_table(keys))
 
 
 def score(grids: NdtGrids, points: np.ndarray, pose: Pose2D, derivatives: bool = True):

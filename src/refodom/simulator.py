@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Pose2D, wrap_angle
-from .scan import LaserScan, LidarSpec, get_sensor
+from .scan import LaserScan, LidarSpec
 
 # Fraction of the wall->marker intensity step given to a grazing beam. Kept
 # above 0.5 so the biggest intensity jump is always at the wall/graze border

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refodom.detector import (DetectorParams, MarkerDetection, detect,
                               detection_to_line, expected_point_count,
-                              fit_line, _merge_duplicates)
+                              fit_line, _GROW_CHUNK, _grow_wall_segments,
+                              _merge_duplicates)
 from refodom.geometry import Pose2D
 from refodom.scan import get_sensor
 from refodom.simulator import SimConfig, builtin_worlds, simulate_scan
@@ -100,6 +102,81 @@ def test_expected_point_count_matches_ray_oracle():
         predicted = expected_point_count(np.array([r, 0.0]), inc, 0.05, res)
         actual = oracle_beam_count(r, inc, 0.05, res, phase)
         assert abs(predicted - actual) <= 1
+
+
+# -- wall-segment growth -------------------------------------------------------
+
+def grow_per_beam(points, finite, j, window):
+    """The beam-by-beam growth that _grow_wall_segments replaced, kept as its
+    oracle: extend [lo, hi] from beam j while the next beam is finite and
+    within the window of p_j."""
+    n = len(points)
+    pj = points[j]
+    lo = j
+    while lo - 1 >= 0 and finite[lo - 1] and np.linalg.norm(points[lo - 1] - pj) <= window:
+        lo -= 1
+    hi = j
+    while hi + 1 < n and finite[hi + 1] and np.linalg.norm(points[hi + 1] - pj) <= window:
+        hi += 1
+    return lo, hi
+
+
+def assert_growth_matches_oracle(points, finite, seeds, window):
+    lo, hi = _grow_wall_segments(points, finite, np.asarray(seeds, dtype=np.int64), window)
+    for j, l, h in zip(seeds, lo, hi):
+        assert (l, h) == grow_per_beam(points, finite, j, window), j
+
+
+@st.composite
+def beam_rows(draw):
+    """Beam endpoints as detect() builds them: wall runs of small steps
+    broken by depth jumps, NaN beams at zero, and a window that is either
+    drawn or exactly one beam's distance from a seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 4 * _GROW_CHUNK + 3))
+    steps = rng.uniform(0.0, 0.01, (n, 2))
+    jumps = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.05]))
+    steps[jumps] += rng.uniform(-1.0, 1.0, (int(jumps.sum()), 2))
+    points = rng.uniform(-5.0, 5.0, 2) + np.cumsum(steps, axis=0)
+    finite = rng.random(n) >= draw(st.sampled_from([0.0, 0.02, 0.2]))
+    points[~finite] = 0.0
+    seeds = sorted({0, n - 1} | set(rng.integers(0, n, 8).tolist()))
+    if draw(st.booleans()):
+        j, k = rng.integers(0, n, 2)
+        window = float(np.linalg.norm(points[k] - points[j])) or 0.1
+    else:
+        window = draw(st.sampled_from([0.02, 0.15, 0.5, 10.0]))
+    return points, finite, seeds, window
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(row=beam_rows())
+def test_grown_segments_equal_per_beam_growth(row):
+    assert_growth_matches_oracle(*row)
+
+
+def test_growth_spans_chunks_and_reaches_both_ends():
+    n = 3 * _GROW_CHUNK + 7
+    points = np.column_stack((np.linspace(1.0, 2.0, n), np.full(n, 0.5)))
+    finite = np.ones(n, dtype=bool)
+    lo, hi = _grow_wall_segments(points, finite, np.array([0, n // 2, n - 1]), 5.0)
+    assert lo.tolist() == [0, 0, 0] and hi.tolist() == [n - 1] * 3
+    finite[[10, n - 5]] = False
+    assert_growth_matches_oracle(points, finite, [0, 9, 11, n // 2, n - 6, n - 1], 5.0)
+    lo, hi = _grow_wall_segments(points, finite, np.array([n // 2]), 5.0)
+    assert (lo[0], hi[0]) == (11, n - 6)
+
+
+def test_growth_window_ties_follow_the_norm_bit_for_bit():
+    # The window equals one neighbour's np.linalg.norm distance exactly, so
+    # the neighbour counts; a distance that rounds differently by one ulp
+    # would flip it.
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        points = np.vstack((np.zeros(2), rng.normal(0.0, 0.1, 2)))
+        window = float(np.linalg.norm(points[1]))
+        lo, hi = _grow_wall_segments(points, np.ones(2, dtype=bool), np.array([0]), window)
+        assert (lo[0], hi[0]) == (0, 1)
 
 
 # -- params validation --------------------------------------------------------

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import Pose2D, transform_points
 from refodom.layers import LayeredGrids, build_marker_layer, layered_score
 from refodom.ndt import (DEFAULT_CELL_SIZE, EIG_RATIO_FLOOR, GRID_SHIFTS,
-                         MatchOptions, MIN_CELL_POINTS, _regularize_covariances,
-                         build_grids, match, newton_ascent, score, score_terms)
+                         MatchOptions, MIN_CELL_POINTS, _KEY_OFFSET, _KEY_STRIDE,
+                         _LATTICE_SHIFT, _regularize_covariances, build_grids,
+                         match, newton_ascent, score, score_terms)
 from refodom.tracking import tracked_score
 
 
@@ -81,7 +83,9 @@ def test_regularization_keeps_nearly_diagonal_and_isotropic_covariances():
 
 def test_lookup_empty_inputs():
     grids = build_grids(wall_cloud(), DEFAULT_CELL_SIZE)
-    assert len(grids[0].lookup(np.empty((0, 2)))) == 0
+    rows, hit_pts, starts, n_assoc = grids.lookup(np.empty((0, 2)))
+    assert len(rows) == len(hit_pts) == n_assoc == 0
+    assert starts.tolist() == [0] * (len(GRID_SHIFTS) + 1)
     s, g, h, ratio = score(grids, np.empty((0, 2)), Pose2D())
     assert s == 0.0 and ratio == 0.0
 
@@ -226,16 +230,6 @@ def test_corridor_hessian_is_anisotropic():
     assert abs(h[1, 1]) / max(abs(h[0, 0]), 1e-12) > 1e3
 
 
-def test_debug_dump_parses():
-    grids = build_grids(wall_cloud(), DEFAULT_CELL_SIZE)
-    dump = grids[0].debug_dump()
-    rows = [line.split() for line in dump.splitlines()]
-    assert len(rows) == len(grids[0])
-    for row in rows:
-        assert len(row) == 8
-        float(row[2]); float(row[4])
-
-
 def test_match_options_validation():
     MatchOptions(max_halvings=0, convergence_tol=0.0)
     for bad in ({"max_iterations": 0}, {"max_iterations": -3},
@@ -277,8 +271,67 @@ def test_score_only_equals_full_evaluation():
                 assert (s_only, r_only) == (s_full, r_full)
 
 
+def per_lattice_lookup(grids, lattice, points):
+    """Row of each point's cell in one lattice's slice of the table, -1 where
+    the cell is empty: the lookup one lattice at a time, kept as the oracle
+    of the half-cell lookup. The cell is the one covering the point's half
+    cell, as cell_table keys it."""
+    grid = grids[lattice]
+    if len(grid.keys) == 0:
+        return np.full(len(points), -1)
+    half = np.floor(points / (0.5 * grids.cell_size)).astype(np.int64)
+    ij = (half - (2 * np.array(GRID_SHIFTS[lattice])).astype(np.int64)) >> 1
+    keys = ((lattice << _LATTICE_SHIFT) + (ij[:, 0] + _KEY_OFFSET) * _KEY_STRIDE
+            + (ij[:, 1] + _KEY_OFFSET))
+    pos = np.searchsorted(grid.keys, keys).clip(0, len(grid.keys) - 1)
+    return np.where(grid.keys[pos] == keys, pos, -1)
+
+
+def check_lookup(grids, points):
+    """grids.lookup against per_lattice_lookup, and each lattice against the
+    geometry: a hit's cell holds the point in its half-open box, and a point
+    clear of every cell edge is hit exactly when its box is a kept cell. Edges
+    count as clear when they are exact in binary, else beyond a rounding
+    margin."""
+    cell = grids.cell_size
+    rows, hit_pts, starts, n_assoc = grids.lookup(points)
+    assert len(starts) == len(GRID_SHIFTS) + 1 and starts[-1] == len(rows)
+    # A cell covers four half cells; the half-cell table never holds more.
+    n_cells = sum(len(grid) for grid in grids)
+    assert grids.half_rows.shape == (len(GRID_SHIFTS), len(grids.half_keys))
+    assert len(grids.half_keys) <= 4 * n_cells
+    exact = cell in (0.5, 1.0)
+    margin = 0.0 if exact else 1e-9 * max(1.0, float(np.abs(points).max(initial=0.0)))
+    any_hit = np.zeros(len(points), dtype=bool)
+    for lat, grid in enumerate(grids):
+        idx = per_lattice_lookup(grids, lat, points)
+        sel = slice(starts[lat], starts[lat + 1])
+        assert np.array_equal(hit_pts[sel], np.nonzero(idx >= 0)[0])
+        assert np.array_equal(grids.keys[rows[sel]], grid.keys[idx[idx >= 0]])
+        assert np.array_equal(grids.means[rows[sel]], grid.means[idx[idx >= 0]])
+        assert np.array_equal(grids.inv_covs[rows[sel]], grid.inv_covs[idx[idx >= 0]])
+        # Geometry: decode each hit's cell from its key.
+        cell_keys = grids.keys[rows[sel]] - (lat << _LATTICE_SHIFT)
+        ij = np.column_stack((cell_keys // _KEY_STRIDE - _KEY_OFFSET,
+                              cell_keys % _KEY_STRIDE - _KEY_OFFSET))
+        lo = grid.shift + ij * cell
+        p = points[hit_pts[sel]]
+        assert np.all((lo - margin <= p) & (p < lo + cell + margin))
+        box = np.floor((points - grid.shift) / cell)
+        offset = points - grid.shift - box * cell
+        clear = np.all((offset >= margin) & (offset < cell - margin), axis=1) \
+            if margin else np.ones(len(points), dtype=bool)
+        box = box.astype(np.int64)
+        box_keys = ((lat << _LATTICE_SHIFT) + (box[:, 0] + _KEY_OFFSET) * _KEY_STRIDE
+                    + (box[:, 1] + _KEY_OFFSET))
+        kept = np.isin(box_keys, grid.keys)
+        assert np.array_equal((idx >= 0)[clear], kept[clear])
+        any_hit |= idx >= 0
+    assert n_assoc == int(any_hit.sum())
+    return any_hit
+
+
 def test_fused_lookup_equals_per_lattice_lookup():
-    from refodom.ndt import _KEY_OFFSET, _KEY_STRIDE, _LATTICE_SHIFT
     rng = np.random.default_rng(5)
     cell = DEFAULT_CELL_SIZE
     grids = build_grids(wall_cloud(rng), cell)
@@ -289,34 +342,60 @@ def test_fused_lookup_equals_per_lattice_lookup():
                       for i in range(-2, 19) for j in range(-2, 9)])
     outside = np.array([[-50.0, 1.0], [1e4, -1e4], [4.0, 1.5e3]])
     points = np.vstack((inside, edges, outside))
-    rows, hit_pts, starts, n_assoc = grids.lookup(points)
-    assert len(starts) == len(GRID_SHIFTS) + 1
-    any_hit = np.zeros(len(points), dtype=bool)
     # The per-scan gathers read the table rows in place.
-    for table in (grids.keys, grids.means, grids.inv_covs):
+    for table in (grids.keys, grids.means, grids.inv_covs, grids.half_rows):
         assert table.flags["C_CONTIGUOUS"]
-    for lat, grid in enumerate(grids):
+    for grid in grids:
         assert np.shares_memory(grid.keys, grids.keys)
         assert np.shares_memory(grid.means, grids.means)
         assert np.shares_memory(grid.inv_covs, grids.inv_covs)
-        idx = grid.lookup(points)
-        sel = slice(starts[lat], starts[lat + 1])
-        assert np.array_equal(hit_pts[sel], np.nonzero(idx >= 0)[0])
-        assert np.array_equal(grids.keys[rows[sel]], grid.keys[idx[idx >= 0]])
-        assert np.array_equal(grids.means[rows[sel]], grid.means[idx[idx >= 0]])
-        assert np.array_equal(grids.inv_covs[rows[sel]], grid.inv_covs[idx[idx >= 0]])
-        # Independent oracle: each hit's cell, decoded from its key, holds
-        # the point in its half-open box.
-        cell_keys = grids.keys[rows[sel]] - (lat << _LATTICE_SHIFT)
-        ij = np.column_stack((cell_keys // _KEY_STRIDE - _KEY_OFFSET,
-                              cell_keys % _KEY_STRIDE - _KEY_OFFSET))
-        lo = grid.shift + ij * cell
-        p = points[hit_pts[sel]]
-        assert np.all((lo <= p) & (p < lo + cell))
-        any_hit |= idx >= 0
-    assert n_assoc == int(any_hit.sum())
+    any_hit = check_lookup(grids, points)
     assert not any_hit[-len(outside):].any()
     assert any_hit[len(inside):-len(outside)].any()
+
+
+@st.composite
+def lookup_scenes(draw):
+    """A map of a few noisy clusters, at negative coordinates too, and query
+    points: jittered map points, exact half-cell edges, uniform points around
+    the map and far points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cell = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    centers = rng.uniform(-30.0, 30.0, (draw(st.integers(1, 4)), 2))
+    n = draw(st.integers(3, 200))
+    cloud = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 1.5 * cell, (n, 2))
+    if draw(st.booleans()):
+        cloud = np.round(cloud / (cell / 2)) * (cell / 2)   # points on half-cell edges
+    jitter = cloud + rng.normal(0.0, 0.3 * cell, cloud.shape)
+    edges = np.round(cloud[:20] / (cell / 2)) * (cell / 2) + [0.0, cell / 2]
+    around = rng.uniform(cloud.min(axis=0) - cell, cloud.max(axis=0) + cell, (50, 2))
+    far = np.array([[1e4, -1e4], [-3e3, 2.5], [cloud[0, 0], 7e3]])
+    return cloud, cell, np.vstack((jitter, edges, around, far))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scene=lookup_scenes())
+def test_half_cell_lookup_equals_per_lattice_lookup(scene):
+    cloud, cell, points = scene
+    grids = build_grids(cloud, cell)
+    if len(grids.keys) == 0:
+        assert len(grids.half_keys) == 0
+        return
+    assert not check_lookup(grids, points)[-3:].any()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(scene=lookup_scenes())
+def test_every_map_point_finds_its_own_cells(scene):
+    # With every occupied cell kept (each point doubled, two points a cell),
+    # each point of the map lies in a kept cell of all four lattices, also on
+    # a cell edge: the cell tables and the lookup key a point through the
+    # same half cell.
+    cloud, cell, _ = scene
+    grids = build_grids(np.vstack((cloud, cloud)), cell, min_points=2)
+    rows, hit_pts, starts, n_assoc = grids.lookup(cloud)
+    assert n_assoc == len(cloud)
+    assert np.array_equal(np.diff(starts), [len(cloud)] * len(GRID_SHIFTS))
 
 
 def test_newton_full_derivatives_once_per_accepted_step():
