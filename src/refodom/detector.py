@@ -34,9 +34,6 @@ class DetectorParams:
     marker_width: float = 0.05      # m
     flat_angle_max: float = math.radians(80.0)
     duplicate_merge_dist: float = 0.10  # m
-    reject_head_on: bool = False    # drop markers whose normal points at the lidar
-    head_on_angle: float = math.radians(1.0)
-    center_mode: str = "mass"       # "mass" or "peak"
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
@@ -53,8 +50,6 @@ class DetectorParams:
             raise ValueError("marker_width must be positive")
         if self.flat_angle_max >= math.pi / 2:
             raise ValueError("flat_angle_max must be < pi/2")
-        if self.center_mode not in ("mass", "peak"):
-            raise ValueError("center_mode must be 'mass' or 'peak'")
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ def fit_line(points: np.ndarray):
     centroid = pts.mean(axis=0)
     d = pts - centroid
     cov = d.T @ d / len(pts)
-    if np.allclose(cov, 0.0, atol=1e-18):
+    if np.abs(cov).max() <= 1e-18:
         raise ValueError("degenerate input: all points coincident")
     evals, evecs = np.linalg.eigh(cov)
     direction = evecs[:, 1]  # eigenvector of the larger eigenvalue
@@ -214,11 +209,7 @@ def detect(scan: LaserScan, params: DetectorParams | None = None,
         span_key = (start, end)
         if span_key in seen_spans:
             continue
-        marker_pts = points[start:end + 1]
-        if params.center_mode == "peak":
-            center = marker_pts[np.argmax(intensities[start:end + 1])]
-        else:
-            center = marker_pts.mean(axis=0)
+        center = points[start:end + 1].mean(axis=0)
         try:
             _, normal, mse = fit_line(points[lo:hi + 1])
         except ValueError:
@@ -231,8 +222,6 @@ def detect(scan: LaserScan, params: DetectorParams | None = None,
         cos_inc = float(np.dot(normal, -center) / dist)
         incidence = math.acos(min(1.0, max(-1.0, cos_inc)))
         if incidence > params.flat_angle_max:
-            continue
-        if params.reject_head_on and incidence < params.head_on_angle:
             continue
         expected = expected_point_count(center, incidence, params.marker_width,
                                         scan.spec.angular_resolution)

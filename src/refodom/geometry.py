@@ -41,9 +41,6 @@ class Pose2D:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, -s], [s, c]])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
 
 IDENTITY = Pose2D()
 

@@ -1,5 +1,6 @@
 """Two-layer NDT matching: regular points and marker points live in separate
-grids and the match maximizes the weighted sum of both layer scores.
+grids, and the match maximizes ndt.score over both layers, the marker layer
+weighted.
 
 Marker points may be too sparse to fill an NDT cell on their own, so each one
 is augmented with points synthesized on a surrounding circle before grid
@@ -10,26 +11,18 @@ The local map keeps one marker_table() per keyframe and merges them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .geometry import Pose2D
 from .ndt import (DEFAULT_CELL_SIZE, CellTable, MatchOptions, MatchResult,
                   NdtGrids, build_grids, cell_table, is_cell_tables,
-                  newton_ascent, score_terms)
+                  newton_ascent, score, score_terms)
 
 DEFAULT_MARKER_WEIGHT = 10.0
 DEFAULT_SYNTH_RADIUS = 0.05  # m
 SYNTH_CIRCLE_POINTS = 8
-
-
-@dataclass
-class LayeredGrids:
-    regular: NdtGrids
-    marker: NdtGrids
-    marker_weight: float = DEFAULT_MARKER_WEIGHT
-    synth_radius: float = DEFAULT_SYNTH_RADIUS
 
 
 def split_points(points: np.ndarray, beam_indices: np.ndarray, detections):
@@ -73,29 +66,13 @@ def build_marker_layer(markers, radius: float = DEFAULT_SYNTH_RADIUS,
     return build_grids(markers, cell_size)
 
 
-def layered_score(g: LayeredGrids, regular_points: np.ndarray,
-                  marker_points: np.ndarray, pose: Pose2D, derivatives: bool = True):
-    """Weighted two-layer score with gradient/Hessian (None when derivatives
-    is False); the association ratio counts regular and marker points
-    jointly."""
-    s_r, g_r, h_r, a_r, n_r = score_terms(g.regular, regular_points, pose, derivatives)
-    s_m, g_m, h_m, a_m, n_m = score_terms(g.marker, marker_points, pose, derivatives)
-    w = g.marker_weight
-    total = s_r + w * s_m
-    n_total = n_r + n_m
-    ratio = (a_r + a_m) / n_total if n_total else 0.0
-    if not derivatives:
-        return total, None, None, ratio
-    return total, g_r + w * g_m, h_r + w * h_m, ratio
-
-
-def match_layered(g: LayeredGrids, regular_points: np.ndarray,
-                  marker_points: np.ndarray, initial: Pose2D,
+def match_layered(grids, regular_points: np.ndarray, marker_points: np.ndarray,
+                  marker_weight: float, initial: Pose2D,
                   opts: MatchOptions | None = None) -> MatchResult:
-    regular_points = np.asarray(regular_points, dtype=float).reshape(-1, 2)
-    marker_points = np.asarray(marker_points, dtype=float).reshape(-1, 2)
-
-    def objective(pose, derivatives=True):
-        return layered_score(g, regular_points, marker_points, pose, derivatives)
-
-    return newton_ascent(objective, initial, opts)
+    """Match regular and marker points against grids, the (regular, marker)
+    NdtGrids pair: the regular layer with weight 1, the marker layer with
+    marker_weight."""
+    regular, marker = grids
+    terms = ((1.0, partial(score_terms, regular, regular_points)),
+             (marker_weight, partial(score_terms, marker, marker_points)))
+    return newton_ascent(partial(score, terms), initial, opts)

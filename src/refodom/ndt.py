@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -293,22 +294,35 @@ def build_grids(source, cell_size: float,
     return NdtGrids(cell_size, keys, means, inv_covs, lattices, *_half_cell_table(keys))
 
 
-def score(grids: NdtGrids, points: np.ndarray, pose: Pose2D, derivatives: bool = True):
-    """NDT score, gradient and Hessian w.r.t. (x, y, theta) at a pose.
+def score(terms, pose: Pose2D, derivatives: bool = True):
+    """The matching objective: a weighted sum of terms at a pose.
 
-    Returns (score, gradient (3,), hessian (3,3), associated_ratio); with
-    derivatives=False the gradient and Hessian are None and the score and
-    ratio are those of the full evaluation, bit for bit.
+    terms is a sequence of (weight, term) pairs; term(pose, derivatives)
+    returns score_terms' (score, gradient, hessian, n_assoc, n_points). An NDT
+    layer is partial(score_terms, grids, points). Returns (score, gradient
+    (3,), hessian (3,3), associated_ratio), the ratio over the points of all
+    terms; with derivatives=False the gradient and Hessian are None and the
+    score and ratio are those of the full evaluation, bit for bit.
     """
-    s, g, h, n_assoc, n_pts = score_terms(grids, points, pose, derivatives)
-    ratio = n_assoc / n_pts if n_pts else 0.0
-    return s, g, h, ratio
+    total, grad, hess, n_assoc, n_pts = 0.0, None, None, 0, 0
+    if derivatives:
+        grad, hess = np.zeros(3), np.zeros((3, 3))
+    for weight, term in terms:
+        s, g, h, a, n = term(pose, derivatives)
+        total += weight * s
+        if derivatives:
+            grad += weight * g
+            hess += weight * h
+        n_assoc += a
+        n_pts += n
+    return total, grad, hess, n_assoc / n_pts if n_pts else 0.0
 
 
 def score_terms(grids: NdtGrids, points: np.ndarray, pose: Pose2D,
                 derivatives: bool = True):
-    """Like score() but returns raw association counts so callers can merge
-    several point classes into one ratio."""
+    """One NDT layer's score, gradient and Hessian w.r.t. (x, y, theta) of
+    points matched against grids, and the raw association counts, so that
+    score() can merge several layers into one ratio."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(pts)
     total = 0.0
@@ -451,12 +465,8 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
 def match(grids, points: np.ndarray, initial: Pose2D,
           opts: MatchOptions | None = None) -> MatchResult:
     """Match a point cloud against NDT grids starting from an initial pose."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-
-    def objective(pose, derivatives=True):
-        return score(grids, pts, pose, derivatives)
-
-    return newton_ascent(objective, initial, opts)
+    terms = ((1.0, partial(score_terms, grids, points)),)
+    return newton_ascent(partial(score, terms), initial, opts)
 
 
 DEFAULT_CELL_SIZE = 0.5  # m

@@ -1,11 +1,12 @@
 """Scan-to-local-map lidar odometry.
 
 The local map is a bounded FIFO of keyframes whose merged NDT grids are the
-matching target. Markers enter the estimate either as a weighted semantic NDT
-layer ("layer" mode) or through persistent tracks added to the score
-("tracking" mode). Keyframes are promoted when the match quality / overlap /
-motion checks fail, after which the current scan is re-matched; if that also
-fails, the constant-velocity prediction is emitted with inflated covariance.
+matching target. Markers enter the objective as a second, weighted term:
+either a semantic NDT layer ("layer" mode) or the alignment of persistent
+tracks ("tracking" mode). Keyframes are promoted when the match quality /
+overlap / motion checks fail, after which the current scan is re-matched; if
+that also fails, the constant-velocity prediction is emitted with inflated
+covariance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .detector import DetectorParams, detect
 from .geometry import Pose2D, compose, relative, transform_points
-from .layers import (DEFAULT_MARKER_WEIGHT, DEFAULT_SYNTH_RADIUS, LayeredGrids,
+from .layers import (DEFAULT_MARKER_WEIGHT, DEFAULT_SYNTH_RADIUS,
                      build_marker_layer, marker_table, match_layered, split_points)
 from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, build_grids,
                   cell_table, match)
@@ -50,7 +51,6 @@ class OdometryConfig:
     marker_weight: float = DEFAULT_MARKER_WEIGHT
     synth_radius: float = DEFAULT_SYNTH_RADIUS
     w_tracks: float = DEFAULT_W_TRACKS
-    duplicate_track_policy: str = "oldest"
     detector: DetectorParams = field(default_factory=DetectorParams)
     tracker: TrackerParams = field(default_factory=TrackerParams)
     criteria: KeyframeCriteria = field(default_factory=KeyframeCriteria)
@@ -120,15 +120,14 @@ class LocalMap:
     merged into the grids, so the map is always exactly what the points of
     the keyframes in the window imply.
 
-    Layers: plain mode keeps regular and marker points in one layer; tracking
-    mode keeps the regular points only; layer mode keeps the regular points
-    and, as a second layer, the synthesized marker cloud."""
+    Layers: every mode keeps the regular points; layer mode keeps, as a
+    second layer, the synthesized marker cloud. Plain mode detects no
+    markers, and tracking mode carries them in the track references."""
 
     def __init__(self, config: OdometryConfig):
         self.config = config
         self.keyframes: list[Keyframe] = []
-        self.grids = None           # the first layer's grids
-        self.layered: LayeredGrids | None = None  # layer mode: both layers
+        self.grids: tuple = ()      # one NdtGrids per map layer
 
     def __len__(self):
         return len(self.keyframes)
@@ -137,18 +136,14 @@ class LocalMap:
             marker: np.ndarray, tracks_snapshot: dict):
         """Enter a keyframe from its odometry-frame regular and marker
         points, (n, 2) arrays, evict the oldest past n_keyframes and rebuild
-        the grids."""
+        the grids. The marker points enter layer mode's marker layer only:
+        in tracking mode, folding their tight clusters into the grids would
+        add a second, keyframe pose dependent anchor that fights the track
+        term."""
         cfg = self.config
-        if cfg.mode == "plain":
-            tables = (cell_table(np.vstack((regular, marker)), cfg.cell_size),)
-        elif cfg.mode == "tracking":
-            # Markers are carried by the track references; folding their
-            # tight point clusters into the grids would add a second, keyframe
-            # pose dependent anchor that fights the track term.
-            tables = (cell_table(regular, cfg.cell_size),)
-        else:
-            tables = (cell_table(regular, cfg.cell_size),
-                      marker_table(marker, cfg.synth_radius, cfg.cell_size))
+        tables = (cell_table(regular, cfg.cell_size),)
+        if cfg.mode == "layer":
+            tables += (marker_table(marker, cfg.synth_radius, cfg.cell_size),)
         self.keyframes.append(Keyframe(timestamp, pose, tables, tracks_snapshot))
         if len(self.keyframes) > cfg.n_keyframes:
             self.keyframes.pop(0)
@@ -158,18 +153,11 @@ class LocalMap:
         """Merge the window's cell tables into the grids of each layer."""
         cfg = self.config
         regular, *marker = zip(*(k.tables for k in self.keyframes))
-        self.grids = build_grids(regular, cfg.cell_size)
-        if marker:
-            self.layered = LayeredGrids(
-                regular=self.grids,
-                marker=build_marker_layer(marker[0], cfg.synth_radius, cfg.cell_size),
-                marker_weight=cfg.marker_weight,
-                synth_radius=cfg.synth_radius,
-            )
+        self.grids = (build_grids(regular, cfg.cell_size),) + tuple(
+            build_marker_layer(m, cfg.synth_radius, cfg.cell_size) for m in marker)
 
     def reference_tracks(self) -> dict:
-        return merge_reference_tracks((k.tracks_snapshot for k in self.keyframes),
-                                      self.config.duplicate_track_policy)
+        return merge_reference_tracks(k.tracks_snapshot for k in self.keyframes)
 
 
 class Odometry:
@@ -287,14 +275,15 @@ class Odometry:
 
     def _match(self, regular, marker, current_tracks, initial) -> MatchResult:
         cfg = self.config
+        grids = self.local_map.grids
         if cfg.mode == "layer":
-            return match_layered(self.local_map.layered, regular, marker,
+            return match_layered(grids, regular, marker, cfg.marker_weight,
                                  initial, cfg.match)
         if cfg.mode == "tracking":
-            return match_tracked(self.local_map.grids, regular, current_tracks,
+            return match_tracked(grids[0], regular, current_tracks,
                                  self.local_map.reference_tracks(),
                                  cfg.w_tracks, initial, cfg.match)
-        return match(self.local_map.grids, regular, initial, cfg.match)
+        return match(grids[0], regular, initial, cfg.match)
 
     def _check(self, result: MatchResult, n_points: int):
         crit = self.config.criteria

@@ -107,10 +107,6 @@ class LaserScan:
         return pts, self.intensities[idx], idx
 
 
-def to_cartesian(scan: LaserScan):
-    return scan.to_cartesian()
-
-
 def _nan_to_null(values: np.ndarray) -> list:
     return [v if math.isfinite(v) else None for v in values.tolist()]
 

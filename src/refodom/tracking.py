@@ -1,18 +1,19 @@
 """Persistent marker tracks: minimum-cost assignment of detections to tracks
 with fixed unassignment penalties, track lifecycle management, and the
-track-alignment term added to the NDT score.
+track-alignment term of the matching objective.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import Pose2D
-from .ndt import MatchOptions, MatchResult, newton_ascent, score_terms
+from .ndt import MatchOptions, MatchResult, newton_ascent, score, score_terms
 
 # Calibrated by sweeping the marked-corridor scenario: the quadratic track
 # pull must dominate the residual along-corridor ripple of a few hundred
@@ -153,53 +154,33 @@ class Tracker:
         return newly_mature
 
 
-def merge_reference_tracks(snapshots, policy: str = "oldest") -> dict[int, np.ndarray]:
-    """Resolve duplicate track ids across keyframe snapshots.
-
-    snapshots is an iterable of {id: position} in keyframe (oldest-first)
-    order; policy is one of 'oldest', 'newest', 'mean'.
-    """
-    if policy not in ("oldest", "newest", "mean"):
-        raise ValueError("policy must be 'oldest', 'newest' or 'mean'")
-    merged: dict[int, list] = {}
+def merge_reference_tracks(snapshots) -> dict[int, np.ndarray]:
+    """Reference position of each track id over keyframe snapshots, given as
+    {id: position} in keyframe (oldest-first) order: the oldest snapshot's,
+    which has drifted least."""
+    merged: dict[int, np.ndarray] = {}
     for snap in snapshots:
         for tid, pos in snap.items():
-            merged.setdefault(tid, []).append(np.asarray(pos, dtype=float))
-    if policy == "oldest":
-        return {tid: positions[0] for tid, positions in merged.items()}
-    if policy == "newest":
-        return {tid: positions[-1] for tid, positions in merged.items()}
-    return {tid: np.mean(positions, axis=0) for tid, positions in merged.items()}
+            merged.setdefault(tid, np.asarray(pos, dtype=float))
+    return merged
 
 
-def cost_tracks(current: dict[int, np.ndarray], reference: dict[int, np.ndarray],
-                pose: Pose2D) -> float:
-    """Sum of squared distances between transformed current track positions
-    and reference positions over shared track ids."""
-    total = 0.0
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    for tid, p in current.items():
-        r = reference.get(tid)
-        if r is None:
-            continue
-        ux = c * p[0] - s * p[1] + pose.x - r[0]
-        uy = s * p[0] + c * p[1] + pose.y - r[1]
-        total += ux * ux + uy * uy
-    return total
-
-
-def _track_cost_terms(cur_pts: np.ndarray, ref_pts: np.ndarray, pose: Pose2D,
-                      derivatives: bool = True):
-    """Quadratic track cost with gradient and Hessian w.r.t. (x, y, theta);
-    the gradient and Hessian are None when derivatives is False."""
+def track_terms(cur_pts: np.ndarray, ref_pts: np.ndarray, pose: Pose2D,
+                derivatives: bool = True):
+    """Quadratic track cost, the sum of squared distances between the
+    transformed current and the reference track positions, with gradient and
+    Hessian w.r.t. (x, y, theta) (None when derivatives is False), as an
+    ndt.score term: it associates no points, so it leaves the ratio alone."""
     if len(cur_pts) == 0:
-        return (0.0, np.zeros(3), np.zeros((3, 3))) if derivatives else (0.0, None, None)
+        if not derivatives:
+            return 0.0, None, None, 0, 0
+        return 0.0, np.zeros(3), np.zeros((3, 3)), 0, 0
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     R = np.array([[c, -s], [s, c]])
     u = cur_pts @ R.T + np.array([pose.x, pose.y]) - ref_pts  # (K,2)
     cost = float(np.einsum("ki,ki->", u, u))
     if not derivatives:
-        return cost, None, None
+        return cost, None, None, 0, 0
     dR = np.array([[-s, -c], [c, -s]])
     jt = cur_pts @ dR.T                                       # du/dtheta
     d2 = -(cur_pts @ R.T)                                     # d2u/dtheta2
@@ -213,36 +194,22 @@ def _track_cost_terms(cur_pts: np.ndarray, ref_pts: np.ndarray, pose: Pose2D,
     hess[0, 2] = hess[2, 0] = 2.0 * float(jt[:, 0].sum())
     hess[1, 2] = hess[2, 1] = 2.0 * float(jt[:, 1].sum())
     hess[2, 2] = 2.0 * float(np.einsum("ki,ki->", jt, jt) + np.einsum("ki,ki->", u, d2))
-    return cost, grad, hess
-
-
-def tracked_score(grids, points: np.ndarray, cur_pts, ref_pts,
-                  w_tracks: float, pose: Pose2D, derivatives: bool = True):
-    """NDT score minus the weighted track cost, with gradient and Hessian
-    (None when derivatives is False) and the NDT association ratio."""
-    s, g, h, n_assoc, n_pts = score_terms(grids, points, pose, derivatives)
-    cost, cg, ch = _track_cost_terms(cur_pts, ref_pts, pose, derivatives)
-    ratio = n_assoc / n_pts if n_pts else 0.0
-    if not derivatives:
-        return s - w_tracks * cost, None, None, ratio
-    return s - w_tracks * cost, g - w_tracks * cg, h - w_tracks * ch, ratio
+    return cost, grad, hess, 0, 0
 
 
 def match_tracked(grids, points: np.ndarray, current_tracks: dict,
                   reference_tracks: dict, w_tracks: float, initial: Pose2D,
                   opts: MatchOptions | None = None) -> MatchResult:
-    """NDT match with the track alignment term subtracted from the score.
+    """NDT match with the track cost, weighted by w_tracks, subtracted from
+    the score.
 
     current_tracks maps track id -> position in the scan frame (the frame the
     pose transforms from); reference_tracks maps id -> position in the target
     frame. Only shared ids contribute; callers pass mature tracks only.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     shared = sorted(set(current_tracks) & set(reference_tracks))
     cur = np.array([current_tracks[i] for i in shared], dtype=float).reshape(-1, 2)
     ref = np.array([reference_tracks[i] for i in shared], dtype=float).reshape(-1, 2)
-
-    def objective(pose, derivatives=True):
-        return tracked_score(grids, pts, cur, ref, w_tracks, pose, derivatives)
-
-    return newton_ascent(objective, initial, opts)
+    terms = ((1.0, partial(score_terms, grids, points)),
+             (-w_tracks, partial(track_terms, cur, ref)))
+    return newton_ascent(partial(score, terms), initial, opts)

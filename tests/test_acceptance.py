@@ -8,6 +8,7 @@ expensive one: thirty full odometry runs across ten seeds.
 import itertools
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,15 +18,15 @@ from refodom.detector import DetectorParams, detect, expected_point_count
 from refodom.evaluation import (compute_ate, labels_from_world, pr_sweep,
                                 threshold_detector)
 from refodom.geometry import Pose2D, compose, inverse, transform_points
-from refodom.layers import LayeredGrids, build_marker_layer, layered_score, match_layered
+from refodom.layers import build_marker_layer, match_layered
 from refodom.ndt import (DEFAULT_CELL_SIZE, MatchOptions, build_grids, match,
-                         newton_ascent, score)
+                         newton_ascent, score, score_terms)
 from refodom.odometry import Odometry, OdometryConfig
 from refodom.scan import get_sensor
 from refodom.simulator import (SimConfig, builtin_trajectory, builtin_worlds,
                                simulate_trajectory)
 from refodom.tracking import (TrackerParams, match_tracked, solve_assignment,
-                              tracked_score)
+                              track_terms)
 
 SENSOR = "r2000"        # dense 360 deg coverage: markers never leave the FOV
 STRIDE = 8
@@ -201,20 +202,19 @@ def test_derivatives_match_finite_differences(capsys):
     worst = 0.0
     for trial in range(200):
         cloud, markers = _random_scene(rng)
+        # The objective of each mode: the NDT layer, plus the weighted marker
+        # layer or the track term.
+        grids = build_grids(cloud, DEFAULT_CELL_SIZE)
+        terms = [(1.0, partial(score_terms, grids, cloud))]
         kind = trial % 3
-        if kind == 0:
-            grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-            objective = lambda p: score(grids, cloud, p)  # noqa: E731
-        elif kind == 1:
-            g = LayeredGrids(regular=build_grids(cloud, DEFAULT_CELL_SIZE),
-                             marker=build_marker_layer(markers),
-                             marker_weight=10.0)
-            objective = lambda p: layered_score(g, cloud, markers, p)  # noqa: E731
-        else:
-            grids = build_grids(cloud, DEFAULT_CELL_SIZE)
+        if kind == 1:
+            marker_grids = build_marker_layer(markers)
+            terms.append((10.0, partial(score_terms, marker_grids, markers)))
+        elif kind == 2:
             ref = markers + rng.normal(0, 0.02, markers.shape)
-            w = float(rng.uniform(1, 500))
-            objective = lambda p: tracked_score(grids, cloud, markers, ref, w, p)  # noqa: E731
+            terms.append((-float(rng.uniform(1, 500)),
+                          partial(track_terms, markers, ref)))
+        objective = partial(score, terms)
         best = math.inf
         for _ in range(5):
             pose = Pose2D(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1),
@@ -235,7 +235,7 @@ def test_ascent_never_decreases_score(capsys):
     for _ in range(20):
         cloud, _ = _random_scene(rng)
         grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-        objective = lambda p, derivatives=True: score(grids, cloud, p, derivatives)  # noqa: E731
+        objective = partial(score, ((1.0, partial(score_terms, grids, cloud)),))
         initial = Pose2D(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2),
                          rng.uniform(-0.1, 0.1))
         prev = objective(initial)[0]
@@ -256,9 +256,8 @@ def test_degeneration_identities(capsys):
     initial = Pose2D(0.08, -0.04, 0.02)
 
     plain = match(grids, cloud, initial)
-    layered = LayeredGrids(regular=grids, marker=build_grids(empty, DEFAULT_CELL_SIZE),
-                           marker_weight=0.0)
-    as_layer = match_layered(layered, cloud, empty, initial)
+    as_layer = match_layered((grids, build_grids(empty, DEFAULT_CELL_SIZE)),
+                             cloud, empty, 0.0, initial)
     layer_exact = (as_layer.pose == plain.pose and as_layer.score == plain.score)
 
     tracks = {0: markers[0]}

@@ -179,6 +179,23 @@ def test_malformed_odometry_config_is_runtime_error(tmp_path, capsys, rec, needl
     assert needle in err
 
 
+@pytest.mark.parametrize("rec, needle", [
+    ({"duplicate_track_policy": "oldest"}, "duplicate_track_policy"),
+    ({"detector": {"center_mode": "mass"}}, "detector.center_mode"),
+    ({"detector": {"reject_head_on": False}}, "detector.reject_head_on"),
+    ({"detector": {"head_on_angle": 0.01}}, "detector.head_on_angle"),
+])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, rec, needle):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(rec))
+    code, _, err = run(["odometry", "--scans", str(tmp_path / "scans.jsonl"),
+                        "--mode", "tracking", "--config", str(cfg_file),
+                        "--out", str(tmp_path / "odo")], capsys)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "unknown config key(s): " + needle in err
+
+
 def test_pr_subsample_below_one_is_usage_error(tmp_path, capsys):
     for value in ("0", "-2"):
         code, _, err = run(["pr", "--scans", "x", "--world", "room", "--poses", "y",

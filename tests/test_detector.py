@@ -53,6 +53,28 @@ def test_fit_line_rejects_degenerate():
         fit_line(np.tile([2.0, 3.0], (5, 1)))
 
 
+def test_fit_line_degeneracy_guard_as_allclose():
+    # The guard rejects exactly the inputs whose covariance np.allclose(cov,
+    # 0, atol=1e-18) calls zero: spreads around the threshold, and NaN input,
+    # which is fitted (to NaN), not rejected.
+    rng = np.random.default_rng(8)
+    inputs = [np.tile([2.0, 3.0], (6, 1)) + scale * rng.normal(size=(6, 2))
+              for scale in np.geomspace(1e-11, 1e-7, 40)]
+    inputs.append(np.array([[np.nan, 1.0], [1.0, 1.0], [2.0, 1.0]]))
+    rejected = 0
+    for pts in inputs:
+        d = pts - pts.mean(axis=0)
+        degenerate = np.allclose(d.T @ d / len(pts), 0.0, atol=1e-18)
+        try:
+            fit_line(pts)
+        except ValueError as exc:
+            assert degenerate and "degenerate" in str(exc)
+            rejected += 1
+        else:
+            assert not degenerate
+    assert 0 < rejected < len(inputs) - 1
+
+
 # -- expected point count -----------------------------------------------------
 
 def test_expected_point_count_worked_case():
@@ -188,8 +210,6 @@ def test_detector_params_validation():
         DetectorParams(p_min=2)
     with pytest.raises(ValueError):
         DetectorParams(jump_fraction=0.0)
-    with pytest.raises(ValueError):
-        DetectorParams(center_mode="median")
     with pytest.raises(ValueError):
         DetectorParams(flat_angle_max=math.pi / 2)
 

@@ -1,12 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from refodom.geometry import Pose2D, inverse, transform_points
-from refodom.layers import (DEFAULT_SYNTH_RADIUS, LayeredGrids,
-                            SYNTH_CIRCLE_POINTS, build_marker_layer,
-                            layered_score, match_layered, split_points,
+from refodom.layers import (DEFAULT_SYNTH_RADIUS, SYNTH_CIRCLE_POINTS,
+                            build_marker_layer, match_layered, split_points,
                             synthesize_marker_cloud)
-from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, match, score
+from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, match, score, score_terms
 
 
 class FakeDetection:
@@ -76,36 +77,41 @@ def structured_cloud(rng):
     return walls, markers
 
 
-def make_layered(walls, markers, weight=10.0):
-    return LayeredGrids(regular=build_grids(walls, DEFAULT_CELL_SIZE),
-                        marker=build_marker_layer(markers),
-                        marker_weight=weight)
+def make_layered(walls, markers):
+    return build_grids(walls, DEFAULT_CELL_SIZE), build_marker_layer(markers)
 
 
 def test_layered_score_decomposes():
+    # The two-layer objective is s_r + w s_m, bit for bit as that formula,
+    # with its ratio over the points of both layers.
     rng = np.random.default_rng(1)
     walls, markers = structured_cloud(rng)
-    g = make_layered(walls, markers, weight=7.0)
+    regular, marker = make_layered(walls, markers)
     pose = Pose2D(0.02, -0.01, 0.005)
-    s, grad, hess, ratio = layered_score(g, walls, markers, pose)
-    s_r, g_r, h_r, _ = score(g.regular, walls, pose)
-    s_m, g_m, h_m, _ = score(g.marker, markers, pose)
+    terms = ((1.0, partial(score_terms, regular, walls)),
+             (7.0, partial(score_terms, marker, markers)))
+    s, grad, hess, ratio = score(terms, pose)
+    s_r, g_r, h_r, a_r, n_r = score_terms(regular, walls, pose)
+    s_m, g_m, h_m, a_m, n_m = score_terms(marker, markers, pose)
     assert s == s_r + 7.0 * s_m
     assert np.array_equal(grad, g_r + 7.0 * g_m)
     assert np.array_equal(hess, h_r + 7.0 * h_m)
+    assert ratio == (a_r + a_m) / (n_r + n_m)
     assert 0 < ratio <= 1
+    s_r, _, _, a_r, n_r = score_terms(regular, walls, pose, derivatives=False)
+    s_m, _, _, a_m, n_m = score_terms(marker, markers, pose, derivatives=False)
+    assert score(terms, pose, derivatives=False) == (
+        s_r + 7.0 * s_m, None, None, (a_r + a_m) / (n_r + n_m))
 
 
 def test_zero_weight_no_markers_equals_plain_exactly():
     rng = np.random.default_rng(2)
     walls, _ = structured_cloud(rng)
     empty = np.empty((0, 2))
-    layered = LayeredGrids(regular=build_grids(walls, DEFAULT_CELL_SIZE),
-                           marker=build_grids(empty, DEFAULT_CELL_SIZE),
-                           marker_weight=0.0)
+    grids = (build_grids(walls, DEFAULT_CELL_SIZE), build_grids(empty, DEFAULT_CELL_SIZE))
     initial = Pose2D(0.1, -0.05, 0.02)
-    a = match_layered(layered, walls, empty, initial)
-    b = match(layered.regular, walls, initial)
+    a = match_layered(grids, walls, empty, 0.0, initial)
+    b = match(grids[0], walls, initial)
     assert a.pose == b.pose
     assert a.score == b.score
     assert a.iterations == b.iterations
@@ -118,7 +124,7 @@ def test_layered_match_recovers_offset():
     g = make_layered(walls, markers)
     true = Pose2D(0.12, -0.08, 0.03)
     result = match_layered(g, transform_points(inverse(true), walls),
-                           transform_points(inverse(true), markers), Pose2D())
+                           transform_points(inverse(true), markers), 10.0, Pose2D())
     assert result.converged
     assert result.pose.x == pytest.approx(true.x, abs=1e-2)
     assert result.pose.y == pytest.approx(true.y, abs=1e-2)
@@ -136,5 +142,5 @@ def test_marker_layer_pins_corridor():
     g = make_layered(walls, markers)
     true = Pose2D(0.2, 0.0, 0.0)
     result = match_layered(g, transform_points(inverse(true), walls),
-                           transform_points(inverse(true), markers), Pose2D())
+                           transform_points(inverse(true), markers), 10.0, Pose2D())
     assert result.pose.x == pytest.approx(0.2, abs=0.02)

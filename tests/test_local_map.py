@@ -55,16 +55,11 @@ def assert_same_grids(merged, stacked):
 def check_window(local_map, window, mode):
     regular = np.vstack([r for r, _ in window])
     marker = np.vstack([m for _, m in window])
-    if mode == "plain":
-        assert_same_grids(local_map.grids,
-                          build_grids(np.vstack((regular, marker)), DEFAULT_CELL_SIZE))
-        return
-    assert_same_grids(local_map.grids, build_grids(regular, DEFAULT_CELL_SIZE))
+    assert len(local_map.grids) == (2 if mode == "layer" else 1)
+    assert_same_grids(local_map.grids[0], build_grids(regular, DEFAULT_CELL_SIZE))
     if mode == "layer":
-        assert local_map.layered.regular is local_map.grids
         synth = synthesize_marker_cloud(marker, local_map.config.synth_radius)
-        assert_same_grids(local_map.layered.marker,
-                          build_grids(synth, DEFAULT_CELL_SIZE))
+        assert_same_grids(local_map.grids[1], build_grids(synth, DEFAULT_CELL_SIZE))
 
 
 def push(mode, frames):
@@ -95,9 +90,7 @@ def test_empty_and_markerless_keyframes(mode):
               (empty, empty), (empty, empty), (empty, empty)]
     local_map = push(mode, frames)
     # The window now holds only empty keyframes: every layer is empty.
-    assert len(local_map.grids.keys) == 0
-    if mode == "layer":
-        assert len(local_map.layered.marker.keys) == 0
+    assert all(len(grids.keys) == 0 for grids in local_map.grids)
 
 
 def test_cell_tables_must_share_the_cell_size():

@@ -1,16 +1,22 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import Pose2D, transform_points
-from refodom.layers import LayeredGrids, build_marker_layer, layered_score
+from refodom.layers import build_marker_layer
 from refodom.ndt import (DEFAULT_CELL_SIZE, EIG_RATIO_FLOOR, GRID_SHIFTS,
                          MatchOptions, MIN_CELL_POINTS, _KEY_OFFSET, _KEY_STRIDE,
                          _LATTICE_SHIFT, _regularize_covariances, build_grids,
                          match, newton_ascent, score, score_terms)
-from refodom.tracking import tracked_score
+from refodom.tracking import track_terms
+
+
+def ndt_score(grids, points, pose, derivatives=True):
+    """The plain NDT objective: one layer, weight 1."""
+    return score(((1.0, partial(score_terms, grids, points)),), pose, derivatives)
 
 
 def wall_cloud(rng=None, n=400):
@@ -86,14 +92,14 @@ def test_lookup_empty_inputs():
     rows, hit_pts, starts, n_assoc = grids.lookup(np.empty((0, 2)))
     assert len(rows) == len(hit_pts) == n_assoc == 0
     assert starts.tolist() == [0] * (len(GRID_SHIFTS) + 1)
-    s, g, h, ratio = score(grids, np.empty((0, 2)), Pose2D())
+    s, g, h, ratio = ndt_score(grids, np.empty((0, 2)), Pose2D())
     assert s == 0.0 and ratio == 0.0
 
 
 def test_score_positive_at_identity():
     cloud = wall_cloud()
     grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-    s, _, _, ratio = score(grids, cloud, Pose2D())
+    s, _, _, ratio = ndt_score(grids, cloud, Pose2D())
     assert s > 0
     assert ratio > 0.95
 
@@ -101,8 +107,8 @@ def test_score_positive_at_identity():
 def test_score_decreases_away_from_identity():
     cloud = wall_cloud()
     grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-    s0, _, _, _ = score(grids, cloud, Pose2D())
-    s1, _, _, _ = score(grids, cloud, Pose2D(0.2, 0.1, 0.02))
+    s0, _, _, _ = ndt_score(grids, cloud, Pose2D())
+    s1, _, _, _ = ndt_score(grids, cloud, Pose2D(0.2, 0.1, 0.02))
     assert s1 < s0
 
 
@@ -134,7 +140,7 @@ def test_gradient_and_hessian_match_finite_differences():
     grids = build_grids(cloud, DEFAULT_CELL_SIZE)
 
     def objective(pose):
-        s, g, h, _ = score(grids, cloud, pose)
+        s, g, h, _ = ndt_score(grids, cloud, pose)
         return s, g, h
 
     for _ in range(20):
@@ -187,7 +193,7 @@ def test_newton_score_never_decreases_with_iterations():
     grids = build_grids(cloud, DEFAULT_CELL_SIZE)
 
     def objective(pose, derivatives=True):
-        return score(grids, cloud, pose, derivatives)
+        return ndt_score(grids, cloud, pose, derivatives)
 
     initial = Pose2D(0.2, -0.15, 0.05)
     prev = -np.inf
@@ -207,7 +213,7 @@ def test_step_respects_trust_region():
     opts = MatchOptions(max_iterations=1, max_step_translation=0.1,
                         max_step_rotation=0.05)
     initial = Pose2D(0.4, 0.4, 0.2)
-    result = newton_ascent(lambda p, derivatives=True: score(grids, cloud, p, derivatives),
+    result = newton_ascent(lambda p, derivatives=True: ndt_score(grids, cloud, p, derivatives),
                            initial, opts)
     assert math.hypot(result.pose.x - initial.x, result.pose.y - initial.y) <= 0.1 + 1e-9
     assert abs(result.pose.theta - initial.theta) <= 0.05 + 1e-9
@@ -226,7 +232,7 @@ def test_corridor_hessian_is_anisotropic():
     ])
     grids = build_grids(pts, DEFAULT_CELL_SIZE)
     sensor_pts = pts - [0.0, 1.5]
-    _, _, h, _ = score(grids, sensor_pts, Pose2D(0.0, 1.5, 0.0))
+    _, _, h, _ = ndt_score(grids, sensor_pts, Pose2D(0.0, 1.5, 0.0))
     assert abs(h[1, 1]) / max(abs(h[0, 0]), 1e-12) > 1e3
 
 
@@ -248,27 +254,55 @@ def random_scene(rng):
 
 
 def test_score_only_equals_full_evaluation():
+    # For every term and for the objectives of all three modes, a score-only
+    # evaluation gives the score and ratio of the full one, bit for bit.
     rng = np.random.default_rng(21)
     for trial in range(30):
         cloud, markers = random_scene(rng)
         grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-        layered = LayeredGrids(regular=grids, marker=build_marker_layer(markers))
+        marker_grids = build_marker_layer(markers)
         ref = markers + rng.normal(0, 0.02, markers.shape)
         pts = cloud[::3]
+        regular = (1.0, partial(score_terms, grids, pts))
+        objectives = ((regular,),
+                      (regular, (10.0, partial(score_terms, marker_grids, markers))),
+                      (regular, (-500.0, partial(track_terms, markers, ref))))
         for _ in range(3):
             pose = Pose2D(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-0.1, 0.1))
-            full = score_terms(grids, pts, pose)
-            only = score_terms(grids, pts, pose, derivatives=False)
-            assert only[1] is None and only[2] is None
-            assert (only[0], only[3], only[4]) == (full[0], full[3], full[4])
-            for objective in (
-                    lambda d: score(grids, pts, pose, d),
-                    lambda d: layered_score(layered, pts, markers, pose, d),
-                    lambda d: tracked_score(grids, pts, markers, ref, 500.0, pose, d)):
-                s_full, _, _, r_full = objective(True)
-                s_only, g, h, r_only = objective(False)
+            for term in (partial(score_terms, grids, pts),
+                         partial(track_terms, markers, ref)):
+                full = term(pose)
+                only = term(pose, derivatives=False)
+                assert only[1] is None and only[2] is None
+                assert (only[0], only[3], only[4]) == (full[0], full[3], full[4])
+            for terms in objectives:
+                s_full, _, _, r_full = score(terms, pose)
+                s_only, g, h, r_only = score(terms, pose, derivatives=False)
                 assert g is None and h is None
                 assert (s_only, r_only) == (s_full, r_full)
+
+
+def test_score_sums_weighted_terms():
+    # score() is the weighted sum of its terms, and its ratio counts the
+    # points of all terms; with no terms it is zero with ratio 0.
+    def term(s, g, h, n_assoc, n_points):
+        def evaluate(pose, derivatives=True):
+            if not derivatives:
+                return s, None, None, n_assoc, n_points
+            return s, np.full(3, g), np.full((3, 3), h), n_assoc, n_points
+        return evaluate
+
+    terms = ((1.0, term(2.0, 1.0, -1.0, 3, 4)), (0.5, term(4.0, 2.0, 3.0, 1, 4)),
+             (-2.0, term(1.5, 0.25, 1.0, 0, 0)))
+    s, g, h, ratio = score(terms, Pose2D())
+    assert s == 2.0 + 0.5 * 4.0 - 2.0 * 1.5
+    assert np.array_equal(g, np.full(3, 1.0 + 0.5 * 2.0 - 2.0 * 0.25))
+    assert np.array_equal(h, np.full((3, 3), -1.0 + 0.5 * 3.0 - 2.0 * 1.0))
+    assert ratio == 4 / 8
+    assert score(terms, Pose2D(), derivatives=False) == (s, None, None, ratio)
+    s, g, h, ratio = score((), Pose2D())
+    assert s == 0.0 and ratio == 0.0
+    assert not g.any() and not h.any()
 
 
 def per_lattice_lookup(grids, lattice, points):
@@ -406,7 +440,7 @@ def test_newton_full_derivatives_once_per_accepted_step():
 
         def objective(pose, derivatives=True):
             calls[derivatives] += 1
-            return score(grids, cloud, pose, derivatives)
+            return ndt_score(grids, cloud, pose, derivatives)
 
         result = newton_ascent(objective, Pose2D(0.2, -0.15, 0.05),
                                MatchOptions(max_iterations=iters))

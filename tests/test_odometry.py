@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from refodom.evaluation import compute_ate
-from refodom.geometry import Pose2D
+from refodom.geometry import Pose2D, compose, relative
 from refodom.odometry import (KeyframeCriteria, Odometry, OdometryConfig,
                               read_trajectory, write_ground_truth,
                               write_trajectory)
@@ -128,10 +128,29 @@ def test_tracking_mode_builds_tracks():
 
 
 def test_covariance_inflated_on_failure():
+    # After five good scans, one with all but 40 ranges NaN, half of them
+    # moved out of the room: its match overlaps too little to pass, so the
+    # prediction is emitted, with the match's covariance times
+    # covariance_inflation.
     scans, _ = room_scans(x1=2.4)
-    odo = Odometry(OdometryConfig())
-    out0 = odo.process_scan(scans[0])
-    assert np.all(np.isfinite(out0.covariance_hint))
+    bad = scans[5]
+    ranges = np.full_like(bad.ranges, np.nan)
+    ranges[::20][:20] = bad.ranges[::20][:20]
+    ranges[10::20][:20] = 3.0 * bad.ranges[10::20][:20]
+    bad = LaserScan(bad.timestamp, bad.start_angle, ranges, bad.intensities, bad.spec)
+    runs = {}
+    for inflation in (1e3, 1.0):
+        odo = Odometry(OdometryConfig(covariance_inflation=inflation))
+        outputs, _ = odo.run(scans[:5] + [bad])
+        runs[inflation] = outputs
+    *good, failed = runs[1e3]
+    assert all(o.match_ok for o in good)
+    assert not failed.match_ok
+    prev, last = good[-2].pose, good[-1].pose
+    assert failed.pose == compose(last, relative(prev, last))
+    base = runs[1.0][-1].covariance_hint
+    assert np.abs(base).max() > 0
+    assert np.array_equal(failed.covariance_hint, 1e3 * base)
 
 
 def test_trajectory_file_roundtrip(tmp_path):

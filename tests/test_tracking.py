@@ -1,15 +1,15 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from refodom.geometry import Pose2D, inverse, transform_points
-from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, match
-from refodom.tracking import (Tracker, TrackerParams, cost_tracks,
-                              match_tracked, merge_reference_tracks,
-                              solve_assignment, tracked_score,
-                              _track_cost_terms)
+from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, match, score, score_terms
+from refodom.tracking import (Tracker, TrackerParams, match_tracked,
+                              merge_reference_tracks, solve_assignment,
+                              track_terms)
 
 
 # -- assignment oracle --------------------------------------------------------
@@ -141,27 +141,38 @@ def test_far_detection_spawns_new_track():
 
 # -- reference merge ----------------------------------------------------------
 
-def test_merge_reference_policies():
+def test_merge_reference_keeps_oldest():
     snaps = [{0: np.array([0.0, 0.0])}, {0: np.array([1.0, 0.0]), 1: np.array([5.0, 5.0])}]
-    assert merge_reference_tracks(snaps, "oldest")[0] == pytest.approx([0.0, 0.0])
-    assert merge_reference_tracks(snaps, "newest")[0] == pytest.approx([1.0, 0.0])
-    assert merge_reference_tracks(snaps, "mean")[0] == pytest.approx([0.5, 0.0])
-    assert merge_reference_tracks(snaps, "oldest")[1] == pytest.approx([5.0, 5.0])
-    with pytest.raises(ValueError):
-        merge_reference_tracks(snaps, "median")
+    merged = merge_reference_tracks(iter(snaps))
+    assert list(merged) == [0, 1]
+    assert merged[0] == pytest.approx([0.0, 0.0])
+    assert merged[1] == pytest.approx([5.0, 5.0])
+    assert merge_reference_tracks([]) == {}
 
 
 # -- track cost term ----------------------------------------------------------
 
 def test_cost_tracks_zero_at_alignment():
-    cur = {0: np.array([1.0, 2.0]), 1: np.array([-1.0, 0.5])}
-    assert cost_tracks(cur, cur, Pose2D()) == pytest.approx(0.0)
+    cur = np.array([[1.0, 2.0], [-1.0, 0.5]])
+    cost, grad, _, n_assoc, n_points = track_terms(cur, cur, Pose2D())
+    assert cost == 0.0
+    assert not grad.any()
+    assert n_assoc == n_points == 0
 
 
 def test_cost_tracks_only_shared_ids():
+    # Ids in only one of the two sets do not enter the match: it equals the
+    # match over the shared id alone, whose cost at identity is 1.
+    rng = np.random.default_rng(6)
+    cloud = corridor_cloud(rng)
+    grids = build_grids(cloud, DEFAULT_CELL_SIZE)
     cur = {0: np.array([1.0, 0.0]), 5: np.array([2.0, 0.0])}
     ref = {0: np.array([1.0, 1.0]), 7: np.array([9.0, 9.0])}
-    assert cost_tracks(cur, ref, Pose2D()) == pytest.approx(1.0)
+    assert track_terms(cur[0].reshape(1, 2), ref[0].reshape(1, 2), Pose2D())[0] == 1.0
+    initial = Pose2D(0.05, 0.02, 0.01)
+    a = match_tracked(grids, cloud, cur, ref, 100.0, initial)
+    b = match_tracked(grids, cloud, {0: cur[0]}, {0: ref[0]}, 100.0, initial)
+    assert a.pose == b.pose and a.score == b.score
 
 
 def test_track_cost_terms_match_finite_differences():
@@ -171,15 +182,15 @@ def test_track_cost_terms_match_finite_differences():
         cur = rng.uniform(-3, 3, size=(k, 2))
         ref = rng.uniform(-3, 3, size=(k, 2))
         pose = Pose2D(*rng.uniform(-0.5, 0.5, 3))
-        cost, grad, hess = _track_cost_terms(cur, ref, pose)
+        cost, grad, hess, _, _ = track_terms(cur, ref, pose)
         h = 1e-6
         for i in range(3):
             d = np.zeros(3)
             d[i] = h
-            cp = _track_cost_terms(cur, ref, Pose2D(pose.x + d[0], pose.y + d[1],
-                                                    pose.theta + d[2]))
-            cm = _track_cost_terms(cur, ref, Pose2D(pose.x - d[0], pose.y - d[1],
-                                                    pose.theta - d[2]))
+            cp = track_terms(cur, ref, Pose2D(pose.x + d[0], pose.y + d[1],
+                                              pose.theta + d[2]))
+            cm = track_terms(cur, ref, Pose2D(pose.x - d[0], pose.y - d[1],
+                                              pose.theta - d[2]))
             assert grad[i] == pytest.approx((cp[0] - cm[0]) / (2 * h), rel=1e-5, abs=1e-6)
             assert hess[:, i] == pytest.approx((cp[1] - cm[1]) / (2 * h),
                                                rel=1e-5, abs=1e-6)
@@ -230,17 +241,27 @@ def test_tracks_pin_degenerate_direction():
 
 
 def test_tracked_score_subtracts_weighted_cost():
+    # The tracking objective is s - w cost, bit for bit as that formula, with
+    # the ratio of the NDT points alone.
     rng = np.random.default_rng(5)
     cloud = corridor_cloud(rng)
     grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-    cur = np.array([[1.0, 0.0]])
-    ref = np.array([[1.1, 0.0]])
-    pose = Pose2D()
-    s_t, _, _, _ = tracked_score(grids, cloud, cur, ref, 100.0, pose)
-    from refodom.ndt import score
-    s, _, _, _ = score(grids, cloud, pose)
-    cost, _, _ = _track_cost_terms(cur, ref, pose)
-    assert s_t == pytest.approx(s - 100.0 * cost)
+    cur = np.array([[1.0, 0.0], [-2.0, 3.0]])
+    ref = np.array([[1.1, 0.0], [-2.0, 2.95]])
+    pose = Pose2D(0.01, -0.02, 0.003)
+    terms = ((1.0, partial(score_terms, grids, cloud)),
+             (-100.0, partial(track_terms, cur, ref)))
+    s_t, g_t, h_t, ratio = score(terms, pose)
+    s, g, h, n_assoc, n_points = score_terms(grids, cloud, pose)
+    cost, cg, ch, _, _ = track_terms(cur, ref, pose)
+    assert s_t == s - 100.0 * cost
+    assert np.array_equal(g_t, g - 100.0 * cg)
+    assert np.array_equal(h_t, h - 100.0 * ch)
+    assert ratio == n_assoc / n_points
+    s, _, _, n_assoc, n_points = score_terms(grids, cloud, pose, derivatives=False)
+    cost, _, _, _, _ = track_terms(cur, ref, pose, derivatives=False)
+    assert score(terms, pose, derivatives=False) == (
+        s - 100.0 * cost, None, None, n_assoc / n_points)
 
 
 def test_tracker_params_validation():
