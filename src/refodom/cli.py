@@ -118,7 +118,7 @@ def _load_config(args) -> OdometryConfig:
         rec["mode"] = args.mode
         try:
             return OdometryConfig.from_dict(rec)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{args.config}: {exc}") from None
     return OdometryConfig(mode=args.mode)
 

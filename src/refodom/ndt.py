@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -53,19 +54,25 @@ def _half_cells(points, cell_size: float) -> np.ndarray:
     return np.floor(points / (0.5 * cell_size)).astype(np.int64)
 
 
+def check_integers(obj, low: int, *names: str) -> None:
+    """Raise ValueError unless each named field of obj is an integer >= low."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}")
+
+
 @dataclass
 class MatchOptions:
     max_iterations: int = 50
-    convergence_tol: float = 1e-6
+    convergence_tol: float = 1e-5      # norm of the shortest (x, y, theta) trial step
     max_halvings: int = 10
     max_step_translation: float = 0.5  # m, trust-region style clamp
     max_step_rotation: float = 0.5     # rad
 
     def __post_init__(self):
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.max_halvings >= 0:
-            raise ValueError("max_halvings must be >= 0")
+        check_integers(self, 1, "max_iterations")
+        check_integers(self, 0, "max_halvings")
         if not self.convergence_tol >= 0:
             raise ValueError("convergence_tol must be >= 0")
         if not (self.max_step_translation > 0 and self.max_step_rotation > 0):
@@ -249,7 +256,7 @@ def _merge_rows(keys, counts, means, m2):
 def cell_table(points: np.ndarray, cell_size: float) -> CellTable:
     """Cell table of a point cloud: each point is a one-point cell in each
     lattice, the cell that covers its half cell, merged by key."""
-    if cell_size <= 0:
+    if not cell_size > 0:
         raise ValueError("cell_size must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     ij = (_half_cells(pts, cell_size) - _HALF_SHIFTS[:, None, :]) >> 1   # (4, n, 2)
@@ -272,7 +279,7 @@ def build_grids(source, cell_size: float,
     union of the clouds whose CellTables are given: the tables are merged,
     cells with fewer than min_points points dropped and the sample
     covariances (ddof=1) regularized."""
-    if cell_size <= 0:
+    if not cell_size > 0:
         raise ValueError("cell_size must be positive")
     tables = source if is_cell_tables(source) else [cell_table(source, cell_size)]
     if any(t.cell_size != cell_size for t in tables):
@@ -412,10 +419,11 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
     objective(pose, derivatives=True) must return (score, grad, hess,
     associated_ratio). With derivatives=False it may return None for grad and
     hess, but the score and ratio must equal those of the full evaluation.
-    The step is halved until the score is non-decreasing; these line-search
-    trials are evaluated score-only, and the full derivatives are computed
-    only at the initial pose and at each accepted pose. The best pose seen is
-    returned.
+    The step is halved until the score is non-decreasing; the ascent has
+    converged when the halvings reach a step shorter than convergence_tol,
+    which is never tried, or all max_halvings + 1 trials fail. Trials are
+    score-only; full derivatives come at the initial and accepted poses. The
+    best pose seen is returned.
     """
     if opts is None:
         opts = MatchOptions()
@@ -435,9 +443,12 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
         if abs(step[2]) > opts.max_step_rotation:
             step = step * (opts.max_step_rotation / abs(step[2]))
 
+        step_norm = float(np.linalg.norm(step))
         alpha = 1.0
         accepted = False
         for _ in range(opts.max_halvings + 1):
+            if alpha * step_norm < opts.convergence_tol:
+                break
             cand = Pose2D(pose.x + alpha * step[0], pose.y + alpha * step[1],
                           wrap_angle(pose.theta + alpha * step[2]))
             cs, _, _, _ = objective(cand, derivatives=False)
@@ -449,14 +460,10 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
             converged = True
             break
 
-        update_norm = alpha * float(np.linalg.norm(step))
         pose = cand
         s, g, h, ratio = objective(pose)
         if s >= best_score:
             best_pose, best_score, best_h, best_ratio = pose, s, h, ratio
-        if update_norm < opts.convergence_tol:
-            converged = True
-            break
 
     return MatchResult(best_pose, best_score, iterations, converged,
                        best_h, best_ratio)

@@ -21,7 +21,7 @@ from .geometry import Pose2D, compose, relative, transform_points
 from .layers import (DEFAULT_MARKER_WEIGHT, DEFAULT_SYNTH_RADIUS,
                      build_marker_layer, marker_table, match_layered, split_points)
 from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, build_grids,
-                  cell_table, match)
+                  cell_table, check_integers, match)
 from .scan import LaserScan
 from .tracking import (DEFAULT_W_TRACKS, Tracker, TrackerParams,
                        match_tracked, merge_reference_tracks)
@@ -39,8 +39,8 @@ class KeyframeCriteria:
     def __post_init__(self):
         if not (0 < self.min_overlap <= 1):
             raise ValueError("min_overlap must be in (0, 1]")
-        if self.min_score <= 0 or self.max_translation <= 0 or self.max_rotation <= 0:
-            raise ValueError("criteria thresholds must be positive")
+        if not (self.min_score > 0 and self.max_translation > 0 and self.max_rotation > 0):
+            raise ValueError("min_score, max_translation and max_rotation must be positive")
 
 
 @dataclass
@@ -61,10 +61,11 @@ class OdometryConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.n_keyframes < 1:
-            raise ValueError("n_keyframes must be >= 1")
-        if self.match_stride < 1:
-            raise ValueError("match_stride must be >= 1")
+        check_integers(self, 1, "n_keyframes", "match_stride")
+        for name in ("cell_size", "marker_weight", "synth_radius", "w_tracks",
+                     "covariance_inflation"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import Pose2D
-from .ndt import MatchOptions, MatchResult, newton_ascent, score, score_terms
+from .ndt import (MatchOptions, MatchResult, check_integers, newton_ascent, score,
+                  score_terms)
 
 # Calibrated by sweeping the marked-corridor scenario: the quadratic track
 # pull must dominate the residual along-corridor ripple of a few hundred
@@ -32,10 +33,9 @@ class TrackerParams:
     max_missed: int = 10      # scans a track survives unassigned
 
     def __post_init__(self):
-        if self.c_d <= 0 or self.c_t <= 0 or self.gate <= 0:
+        if not (self.c_d > 0 and self.c_t > 0 and self.gate > 0):
             raise ValueError("c_d, c_t and gate must be positive")
-        if self.n_min < 1 or self.max_missed < 1:
-            raise ValueError("n_min and max_missed must be >= 1")
+        check_integers(self, 1, "n_min", "max_missed")
 
 
 @dataclass(frozen=True)

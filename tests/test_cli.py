@@ -144,6 +144,7 @@ def test_pr_command(tmp_path, capsys):
 
 
 WALL = {"p1": [0.0, 0.0], "p2": [4.0, 0.0]}
+NAN = float("nan")
 
 
 @pytest.mark.parametrize("rec, needle", [
@@ -167,6 +168,17 @@ def test_malformed_world_is_runtime_error(tmp_path, capsys, rec, needle):
     ({"n_keyframe": 3, "match": {"max_iter": 5}}, "match.max_iter"),
     ({"n_keyframes": "3"}, "cfg.json"),
     ([3], "JSON object"),
+    ({"match_stride": 2.5}, "cfg.json: match_stride must be an integer >= 1"),
+    ({"n_keyframes": 2.5}, "cfg.json: n_keyframes must be an integer >= 1"),
+    ({"n_keyframes": True}, "cfg.json: n_keyframes must be an integer >= 1"),
+    ({"match": {"max_iterations": 2.5}}, "cfg.json: max_iterations must be an integer"),
+    ({"w_tracks": NAN}, "cfg.json: w_tracks must be positive"),
+    ({"marker_weight": NAN}, "cfg.json: marker_weight must be positive"),
+    ({"covariance_inflation": NAN}, "cfg.json: covariance_inflation must be positive"),
+    ({"cell_size": NAN}, "cfg.json: cell_size must be positive"),
+    ({"tracker": {"gate": NAN}}, "cfg.json: c_d, c_t and gate must be positive"),
+    ({"criteria": {"min_score": NAN}}, "cfg.json: min_score, max_translation"),
+    ({"criteria": {"max_translation": NAN}}, "cfg.json: min_score, max_translation"),
 ])
 def test_malformed_odometry_config_is_runtime_error(tmp_path, capsys, rec, needle):
     cfg_file = tmp_path / "cfg.json"

@@ -9,8 +9,8 @@ from refodom.geometry import Pose2D, transform_points
 from refodom.layers import build_marker_layer
 from refodom.ndt import (DEFAULT_CELL_SIZE, EIG_RATIO_FLOOR, GRID_SHIFTS,
                          MatchOptions, MIN_CELL_POINTS, _KEY_OFFSET, _KEY_STRIDE,
-                         _LATTICE_SHIFT, _regularize_covariances, build_grids,
-                         match, newton_ascent, score, score_terms)
+                         _LATTICE_SHIFT, _ascent_direction, _regularize_covariances,
+                         build_grids, match, newton_ascent, score, score_terms)
 from refodom.tracking import track_terms
 
 
@@ -447,3 +447,79 @@ def test_newton_full_derivatives_once_per_accepted_step():
         assert not result.converged   # every iteration took a step
         assert calls[True] == result.iterations + 1
         assert calls[False] >= result.iterations
+
+
+def counting_objective(grad, trial_score):
+    """An objective with gradient grad and Hessian -I at every pose, scoring
+    1 at the origin and trial_score elsewhere. It counts its calls by kind."""
+    calls = {True: 0, False: 0}
+
+    def objective(pose, derivatives=True):
+        calls[derivatives] += 1
+        s = 1.0 if (pose.x, pose.y, pose.theta) == (0.0, 0.0, 0.0) else trial_score
+        if not derivatives:
+            return s, None, None, 1.0
+        return s, np.array(grad, dtype=float), -np.eye(3), 1.0
+    return objective, calls
+
+
+@pytest.mark.parametrize("tol, max_halvings, trials", [
+    (1e-3, 10, 7),     # 0.1 / 2**6 >= 1e-3 > 0.1 / 2**7
+    (1e-5, 20, 14),    # 0.1 / 2**13 >= 1e-5 > 0.1 / 2**14
+    (1e-5, 10, 11),    # capped at max_halvings + 1
+    (1e-5, 0, 1),
+    (0.2, 10, 0),      # the full step is already below the tolerance
+])
+def test_rejected_trials_stop_at_the_step_tolerance(tol, max_halvings, trials):
+    # The step (0.06, 0, 0.08) has norm 0.1 over (x, y, theta) together.
+    objective, calls = counting_objective((0.06, 0.0, 0.08), trial_score=0.0)
+    result = newton_ascent(objective, Pose2D(),
+                           MatchOptions(convergence_tol=tol, max_halvings=max_halvings))
+    assert calls[False] == trials
+    assert calls[True] == 1
+    assert result.converged and result.iterations == 1
+    assert result.pose == Pose2D() and result.score == 1.0
+
+
+def test_zero_gradient_evaluates_no_trial():
+    objective, calls = counting_objective((0.0, 0.0, 0.0), trial_score=1.0)
+    result = newton_ascent(objective, Pose2D())
+    assert calls == {True: 1, False: 0}
+    assert result.converged and result.pose == Pose2D()
+
+
+def test_every_trial_step_is_at_least_the_tolerance():
+    cloud = wall_cloud(np.random.default_rng(9))
+    grids = build_grids(cloud, DEFAULT_CELL_SIZE)
+    opts = MatchOptions()
+    current = [None]
+    shortest = [math.inf]
+
+    def objective(pose, derivatives=True):
+        if derivatives:
+            current[0] = pose
+        else:
+            c = current[0]
+            d = (pose.x - c.x, pose.y - c.y, pose.theta - c.theta)
+            shortest[0] = min(shortest[0], float(np.linalg.norm(d)))
+        return ndt_score(grids, cloud, pose, derivatives)
+
+    result = newton_ascent(objective, Pose2D(0.2, -0.15, 0.05), opts)
+    assert result.converged
+    assert opts.convergence_tol * (1 - 1e-9) <= shortest[0] < math.inf
+
+
+@pytest.mark.parametrize("hess", [
+    np.diag([-1.0, 2.0, -3.0]),                      # indefinite
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1e-12]]),  # and near-singular
+    np.diag([1.0, 2.0, 3.0]),                        # emax <= 0: gradient fallback
+    np.zeros((3, 3)),
+])
+def test_ascent_direction_is_finite(hess):
+    grad = np.array([0.3, -0.2, 0.1])
+    step = _ascent_direction(grad, hess)
+    assert np.all(np.isfinite(step))
+    assert grad @ step > 0
+    if np.linalg.eigvalsh(-hess).max() <= 0:
+        assert np.allclose(step, grad / np.linalg.norm(grad))
+    assert np.array_equal(_ascent_direction(np.zeros(3), hess), np.zeros(3))
