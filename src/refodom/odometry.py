@@ -207,7 +207,6 @@ class Odometry:
             return self._bootstrap(scan.timestamp, centers, regular, marker)
 
         initial = self._predict()
-        newly_mature: set = set()
         current_tracks: dict = {}
 
         if cfg.mode == "tracking":
@@ -217,19 +216,18 @@ class Odometry:
 
         if cfg.mode == "tracking":
             centers_final = transform_points(result.pose, centers)
-            newly_mature = self.tracker.update(centers_final, assignments)
+            self.tracker.update(centers_final, assignments)
             self._log_tracks(scan.timestamp)
 
         n_points = len(reg_match) + (len(marker) if cfg.mode == "layer" else 0)
         ok, _ = self._check(result, n_points)
-        triggered = not ok or bool(newly_mature)
         is_keyframe = False
 
-        if triggered:
+        if not ok:
             is_keyframe = self._promote_cached_keyframe()
             if is_keyframe:
                 if cfg.mode == "tracking":
-                    # The tracker changed; re-derive the mature tracks in view.
+                    # The tracker changed; re-derive the assigned tracks in view.
                     _, current_tracks = self._assign_tracks(centers, result.pose)
                 result = self._match(reg_match, marker, current_tracks, initial)
                 ok, _ = self._check(result, n_points)
@@ -263,15 +261,11 @@ class Odometry:
 
     def _assign_tracks(self, centers_sensor, pose):
         """Assign the scan's marker centers to tracks at a pose; returns the
-        assignments and, for each mature assigned track, its id -> the
-        center in the scan frame."""
+        assignments and, for each assigned track, its id -> the center in the
+        scan frame."""
         assignments = self.tracker.assign(transform_points(pose, centers_sensor))
-        mature_ids = set(self.tracker.mature_tracks())
-        current = {}
-        for di, tj in assignments:
-            track_id = self.tracker.tracks[tj].track_id
-            if track_id in mature_ids:
-                current[track_id] = centers_sensor[di]
+        tracks = self.tracker.tracks
+        current = {tracks[tj].track_id: centers_sensor[di] for di, tj in assignments}
         return assignments, current
 
     def _match(self, regular, marker, current_tracks, initial) -> MatchResult:

@@ -29,13 +29,12 @@ class TrackerParams:
     c_d: float = 0.0025       # m^2, cost of an unassigned detection
     c_t: float = 0.0025       # m^2, cost of an unassigned track
     gate: float = 0.05        # m, detections assign only to tracks this close
-    n_min: int = 3            # observations before a track is mature
     max_missed: int = 10      # scans a track survives unassigned
 
     def __post_init__(self):
         if not (self.c_d > 0 and self.c_t > 0 and self.gate > 0):
             raise ValueError("c_d, c_t and gate must be positive")
-        check_integers(self, 1, "n_min", "max_missed")
+        check_integers(self, 1, "max_missed")
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class Track:
     position: np.ndarray      # (2,), odometry frame
     observations: int = 1
     missed: int = 0
-
-    def is_mature(self, n_min: int) -> bool:
-        return self.observations >= n_min
 
 
 def solve_assignment(det_positions, track_positions, c_d: float, c_t: float,
@@ -98,15 +94,10 @@ class Tracker:
         self.tracks: list[Track] = []
         self._next_id = 0
 
-    def mature_tracks(self) -> dict[int, np.ndarray]:
-        n_min = self.params.n_min
-        return {t.track_id: t.position for t in self.tracks if t.is_mature(n_min)}
-
     def all_tracks(self) -> dict[int, np.ndarray]:
-        """Every live track, mature or not. Keyframes snapshot these so a
-        track first seen just before a keyframe keeps its earliest (least
-        drifted) reference position once it matures; maturity is still
-        enforced where tracks are consumed."""
+        """Every live track, id -> position. Keyframes snapshot these so a
+        track keeps the reference position of the oldest keyframe that saw
+        it, which has drifted least."""
         return {t.track_id: t.position for t in self.tracks}
 
     def assign(self, det_positions):
@@ -120,38 +111,26 @@ class Tracker:
 
     def update(self, det_positions, assignments=None):
         """Commit one scan: assigned tracks move to their detection, new
-        tracks spawn from unassigned detections, stale tracks are dropped.
-
-        Returns the set of track ids that became mature in this update.
-        """
+        tracks spawn from unassigned detections, stale tracks are dropped."""
         dets = np.asarray(det_positions, dtype=float).reshape(-1, 2)
         if assignments is None:
             assignments = self.assign(dets)
-        p = self.params
         assigned_tracks = {j: i for i, j in assignments}
-        newly_mature = set()
         updated = []
         for j, track in enumerate(self.tracks):
             if j in assigned_tracks:
-                obs = track.observations + 1
-                if obs == p.n_min:
-                    newly_mature.add(track.track_id)
                 updated.append(replace(track,
                                         position=dets[assigned_tracks[j]].copy(),
-                                        observations=obs, missed=0))
-            else:
-                if track.missed + 1 > p.max_missed:
-                    continue
+                                        observations=track.observations + 1,
+                                        missed=0))
+            elif track.missed < self.params.max_missed:
                 updated.append(replace(track, missed=track.missed + 1))
         assigned_dets = {i for i, _ in assignments}
         for i in range(len(dets)):
             if i not in assigned_dets:
                 updated.append(Track(self._next_id, dets[i].copy()))
-                if p.n_min == 1:
-                    newly_mature.add(self._next_id)
                 self._next_id += 1
         self.tracks = updated
-        return newly_mature
 
 
 def merge_reference_tracks(snapshots) -> dict[int, np.ndarray]:
@@ -205,7 +184,7 @@ def match_tracked(grids, points: np.ndarray, current_tracks: dict,
 
     current_tracks maps track id -> position in the scan frame (the frame the
     pose transforms from); reference_tracks maps id -> position in the target
-    frame. Only shared ids contribute; callers pass mature tracks only.
+    frame. Only shared ids contribute; callers pass every assigned track.
     """
     shared = sorted(set(current_tracks) & set(reference_tracks))
     cur = np.array([current_tracks[i] for i in shared], dtype=float).reshape(-1, 2)

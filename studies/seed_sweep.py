@@ -6,11 +6,12 @@ simulator seed.
 
 Each seed simulates the first --length metres of the `corridor_marked`
 traverse with the r2000 sensor at 2 m/s, runs `Odometry` with match_stride 8
-(as `refodom reproduce` does) and records the max absolute trajectory error.
-The last line of standard output is one JSON object: the arguments, the max
-ATE of every seed, the largest of them, and how many seeds stay under the
-acceptance bound of 0.2 m. It imports refodom from `src/` of the checkout it
-sits in, runs in one process, and writes no file.
+(as `refodom reproduce` does) and records the max absolute trajectory error
+and the number of keyframes, which does not depend on the hardware. The last
+line of standard output is one JSON object: the arguments, the max ATE and
+keyframe count of every seed, the largest max ATE, and how many seeds stay
+under the acceptance bound of 0.2 m. It imports refodom from `src/` of the
+checkout it sits in, runs in one process, and writes no file.
 """
 
 from __future__ import annotations
@@ -45,16 +46,18 @@ def seed_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"expected LO:HI or N, got {text!r}") from None
 
 
-def max_ate(mode: str, length: float, seed: int) -> float:
+def run_seed(mode: str, length: float, seed: int) -> tuple[float, int]:
+    """(max ATE in m, keyframe count) of one seed's run."""
     a, b = builtin_trajectory(WORLD)
     f = min(1.0, length / math.dist((a.x, a.y), (b.x, b.y)))
     waypoints = [a, Pose2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), b.theta)]
     cfg = SimConfig(spec=get_sensor(SENSOR), seed=seed)
     scans, poses = simulate_trajectory(builtin_worlds()[WORLD], waypoints, SPEED, cfg)
-    outputs, _ = Odometry(OdometryConfig(mode=mode, match_stride=MATCH_STRIDE)).run(scans)
+    outputs, keyframes = Odometry(OdometryConfig(mode=mode, match_stride=MATCH_STRIDE)).run(scans)
     dt = 1.0 / cfg.resolved_rate()
-    return compute_ate([(o.timestamp, o.pose) for o in outputs],
-                       [(k * dt, p) for k, p in enumerate(poses)]).max_error
+    ate = compute_ate([(o.timestamp, o.pose) for o in outputs],
+                      [(k * dt, p) for k, p in enumerate(poses)])
+    return ate.max_error, len(keyframes)
 
 
 def main(argv=None) -> int:
@@ -68,14 +71,16 @@ def main(argv=None) -> int:
     if not args.length > 0:
         p.error("--length must be positive")
 
-    errors = {}
+    errors, keyframes = {}, {}
     for seed in args.seeds:
-        errors[seed] = max_ate(args.mode, args.length, seed)
-        print(f"seed {seed}: max ATE {errors[seed]:.6f} m", file=sys.stderr, flush=True)
+        errors[seed], keyframes[seed] = run_seed(args.mode, args.length, seed)
+        print(f"seed {seed}: max ATE {errors[seed]:.6f} m, {keyframes[seed]} keyframes",
+              file=sys.stderr, flush=True)
     print(json.dumps({
         "world": WORLD, "sensor": SENSOR, "speed": SPEED, "match_stride": MATCH_STRIDE,
         "mode": args.mode, "length_m": args.length,
         "max_ate_m": {str(s): e for s, e in errors.items()},
+        "keyframes": {str(s): n for s, n in keyframes.items()},
         "worst_m": max(errors.values(), default=None),
         "seeds_under_bound": sum(e < ATE_BOUND for e in errors.values()),
         "seeds": len(errors), "bound_m": ATE_BOUND,

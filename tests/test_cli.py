@@ -179,6 +179,14 @@ def test_malformed_world_is_runtime_error(tmp_path, capsys, rec, needle):
     ({"tracker": {"gate": NAN}}, "cfg.json: c_d, c_t and gate must be positive"),
     ({"criteria": {"min_score": NAN}}, "cfg.json: min_score, max_translation"),
     ({"criteria": {"max_translation": NAN}}, "cfg.json: min_score, max_translation"),
+    ({"detector": {"window": NAN}}, "cfg.json: window and l_min must be positive"),
+    ({"detector": {"l_min": NAN}}, "cfg.json: window and l_min must be positive"),
+    ({"detector": {"p_min": NAN}}, "cfg.json: p_min must be an integer >= 3"),
+    ({"detector": {"fit_error_max": NAN}}, "cfg.json: fit_error_max must be positive"),
+    ({"detector": {"marker_width": NAN}}, "cfg.json: marker_width must be positive"),
+    ({"detector": {"flat_angle_max": NAN}}, "cfg.json: flat_angle_max must be in (0, pi/2)"),
+    ({"detector": {"duplicate_merge_dist": NAN}},
+     "cfg.json: duplicate_merge_dist must be finite and non-negative"),
 ])
 def test_malformed_odometry_config_is_runtime_error(tmp_path, capsys, rec, needle):
     cfg_file = tmp_path / "cfg.json"
@@ -196,6 +204,7 @@ def test_malformed_odometry_config_is_runtime_error(tmp_path, capsys, rec, needl
     ({"detector": {"center_mode": "mass"}}, "detector.center_mode"),
     ({"detector": {"reject_head_on": False}}, "detector.reject_head_on"),
     ({"detector": {"head_on_angle": 0.01}}, "detector.head_on_angle"),
+    ({"tracker": {"n_min": 3}}, "tracker.n_min"),
 ])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, rec, needle):
     cfg_file = tmp_path / "cfg.json"

@@ -212,6 +212,11 @@ def test_detector_params_validation():
         DetectorParams(jump_fraction=0.0)
     with pytest.raises(ValueError):
         DetectorParams(flat_angle_max=math.pi / 2)
+    for bad in ({"flat_angle_max": 0.0}, {"p_min": 5.0}, {"duplicate_merge_dist": -0.1},
+                {"duplicate_merge_dist": math.inf}, {"window": -1.0}):
+        with pytest.raises(ValueError):
+            DetectorParams(**bad)
+    assert DetectorParams(duplicate_merge_dist=0.0).duplicate_merge_dist == 0.0
 
 
 # -- detect on simulated scans -----------------------------------------------

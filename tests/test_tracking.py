@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import Pose2D, inverse, transform_points
 from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, match, score, score_terms
@@ -82,19 +83,6 @@ def test_assignment_prefers_nearest():
 
 # -- tracker lifecycle --------------------------------------------------------
 
-def test_track_matures_after_n_min():
-    params = TrackerParams(n_min=3)
-    tracker = Tracker(params)
-    newly = tracker.update(np.array([[1.0, 1.0]]))
-    assert newly == set()
-    assert tracker.mature_tracks() == {}
-    newly = tracker.update(np.array([[1.01, 1.0]]))
-    assert newly == set()
-    newly = tracker.update(np.array([[1.02, 1.0]]))
-    assert newly == {0}
-    assert set(tracker.mature_tracks()) == {0}
-
-
 def test_track_dies_after_max_missed():
     params = TrackerParams(max_missed=2)
     tracker = Tracker(params)
@@ -124,19 +112,69 @@ def test_track_position_follows_detection():
     assert tracker.tracks[0].observations == 2
 
 
-def test_all_tracks_includes_immature():
-    tracker = Tracker(TrackerParams(n_min=3))
-    tracker.update(np.array([[1.0, 0.0]]))
-    assert set(tracker.all_tracks()) == {0}
-    assert tracker.mature_tracks() == {}
-
-
 def test_far_detection_spawns_new_track():
     tracker = Tracker(TrackerParams())
     tracker.update(np.array([[0.0, 0.0]]))
     tracker.update(np.array([[1.0, 0.0]]))  # outside the gate
     assert len(tracker.tracks) == 2
     assert {t.track_id for t in tracker.tracks} == {0, 1}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(max_missed=st.integers(1, 4), data=st.data())
+def test_track_lifecycle_properties(max_missed, data):
+    """Over random detections and partial one-to-one assignments: ids are
+    never reused; an assigned track moves to its detection with one more
+    observation and no misses; each unassigned detection spawns one track;
+    a track survives exactly max_missed unassigned updates in a row; and
+    all_tracks lists every live track."""
+    tracker = Tracker(TrackerParams(max_missed=max_missed))
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+    ever_seen: set = set()
+    unassigned_run: dict = {}   # track id -> consecutive unassigned updates
+    for _ in range(data.draw(st.integers(1, 15), label="updates")):
+        before = list(tracker.tracks)
+        before_ids = {t.track_id for t in before}
+        dets = np.array(data.draw(st.lists(st.tuples(coord, coord), max_size=4),
+                                  label="detections"), dtype=float).reshape(-1, 2)
+        k = data.draw(st.integers(0, min(len(dets), len(before))), label="assigned")
+        det_ix = data.draw(st.permutations(range(len(dets))), label="det order")[:k]
+        trk_ix = data.draw(st.permutations(range(len(before))), label="track order")[:k]
+        assignments = list(zip(det_ix, trk_ix))
+
+        tracker.update(dets, assignments)
+        after = {t.track_id: t for t in tracker.tracks}
+        assert len(after) == len(tracker.tracks)
+        assert tracker.all_tracks().keys() == after.keys()
+
+        det_of = {before[j].track_id: i for i, j in assignments}
+        for old in before:
+            tid = old.track_id
+            if tid in det_of:
+                new = after[tid]
+                assert np.array_equal(new.position, dets[det_of[tid]])
+                assert (new.observations, new.missed) == (old.observations + 1, 0)
+                unassigned_run[tid] = 0
+                continue
+            unassigned_run[tid] += 1
+            if unassigned_run[tid] <= max_missed:
+                new = after[tid]
+                assert np.array_equal(new.position, old.position)
+                assert (new.observations, new.missed) == (old.observations,
+                                                          unassigned_run[tid])
+            else:
+                assert tid not in after
+                del unassigned_run[tid]
+
+        spawned = [t for tid, t in after.items() if tid not in before_ids]
+        assert not {t.track_id for t in spawned} & ever_seen
+        unassigned_dets = sorted(set(range(len(dets))) - set(det_ix))
+        assert len(spawned) == len(unassigned_dets)
+        for t, i in zip(spawned, unassigned_dets):
+            assert np.array_equal(t.position, dets[i])
+            assert (t.observations, t.missed) == (1, 0)
+            unassigned_run[t.track_id] = 0
+        ever_seen |= set(after)
 
 
 # -- reference merge ----------------------------------------------------------
@@ -267,7 +305,5 @@ def test_tracked_score_subtracts_weighted_cost():
 def test_tracker_params_validation():
     with pytest.raises(ValueError):
         TrackerParams(gate=0.0)
-    with pytest.raises(ValueError):
-        TrackerParams(n_min=0)
     with pytest.raises(ValueError):
         TrackerParams(c_d=-1.0)
