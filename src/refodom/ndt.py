@@ -4,6 +4,11 @@ exp(-0.5 * Mahalanobis^2) score over SE(2) with analytic derivatives.
 Four lattices shifted by half a cell in x, y and both remove discretization
 bias without interpolation. Cell covariances are sample covariances (ddof=1),
 regularized so the smaller eigenvalue is at least 1e-3 of the larger one.
+
+A map may have several layers, such as regular and marker points. All of
+them live in one table, keyed by layer, and an objective has one NDT term:
+an NdtQuery stacks the points of every layer with their layer and weight, so
+an evaluation is one lookup and one weighted reduction over all layers.
 """
 
 from __future__ import annotations
@@ -23,12 +28,14 @@ EIG_RATIO_FLOOR = 1e-3
 EIG_ABS_FLOOR = 1e-6  # m^2
 
 # Cell coordinate packing into a single int64 key for vectorized lookup. A
-# cell key is below 2**50; the lattice index sits above it, so the keys of all
-# four lattices sort into one table, lattice by lattice. Half-cell keys use
-# the same packing without a lattice index.
+# cell key is below 2**50; the lattice index sits above it and the map
+# layer's index above that, so the keys of every layer's four lattices sort
+# into one table, layer by layer and lattice by lattice. Half-cell keys use
+# the same packing and layer bits, without a lattice index.
 _KEY_OFFSET = 1 << 24
 _KEY_STRIDE = 1 << 25
 _LATTICE_SHIFT = 51
+_LAYER_SHIFT = 53
 _LATTICES = np.arange(len(GRID_SHIFTS))
 # Each lattice's shift in half cells: 0 or 1 per axis.
 _HALF_SHIFTS = (2 * np.array(GRID_SHIFTS)).astype(np.int64)
@@ -87,88 +94,83 @@ class MatchResult:
     converged: bool
     hessian: np.ndarray
     associated_ratio: float
-
-
-class NdtGrid:
-    """One shifted lattice of Gaussian cells, stored as flat arrays sorted by
-    packed cell key. The arrays are views into the lattice's slice of its
-    NdtGrids table, which does the lookup."""
-
-    __slots__ = ("shift", "keys", "means", "covs", "inv_covs", "counts")
-
-    def __init__(self, shift, keys, means, covs, inv_covs, counts):
-        self.shift = shift
-        self.keys = keys
-        self.means = means
-        self.covs = covs
-        self.inv_covs = inv_covs
-        self.counts = counts
-
-    def __len__(self):
-        return len(self.keys)
+    n_points: int = 0       # query points of the objective's NDT term
 
 
 class NdtGrids:
-    """The four half-cell-shifted lattices of one point cloud, and one table
-    over all of their cells: keys sorted with the lattice index in the high
-    bits, with the cell means and inverse covariances in the same order.
-    Indexing and iteration give the per-lattice NdtGrid views.
+    """The four half-cell-shifted lattices of every map layer, as one table:
+    cell keys sorted with the layer index above the lattice index in the
+    high bits, with the cell means and inverse covariances in the same
+    order. Iteration gives the key slice of each (layer, lattice), layer by
+    layer.
 
     The lookup goes through the half cells that the cells cover: half_keys
     holds the sorted packed keys of the H half cells covered by at least one
-    cell, and half_rows (4, H) the table row of the covering cell in each
-    lattice, or -1. A cell covers four half cells, so H is at most four
-    times the number of cells, wherever the points lie."""
+    cell, each with its layer's bits, and half_rows (4, H) the table row of
+    the covering cell in each lattice, or -1. A cell covers four half cells,
+    so H is at most four times the number of cells, wherever the points
+    lie."""
 
-    __slots__ = ("cell_size", "keys", "means", "inv_covs", "lattices",
-                 "half_keys", "half_rows")
+    __slots__ = ("cell_size", "keys", "means", "inv_covs", "half_keys", "half_rows")
 
-    def __init__(self, cell_size, keys, means, inv_covs, lattices, half_keys, half_rows):
+    def __init__(self, cell_size, keys, means, inv_covs, half_keys, half_rows):
         self.cell_size = cell_size
         self.keys = keys
         self.means = means
         self.inv_covs = inv_covs
-        self.lattices = lattices
         self.half_keys = half_keys
         self.half_rows = half_rows
 
-    def __len__(self):
-        return len(self.lattices)
-
     def __iter__(self):
-        return iter(self.lattices)
+        n_layers = int(self.keys[-1] >> _LAYER_SHIFT) + 1 if len(self.keys) else 1
+        parts = np.arange(n_layers * len(_LATTICES) + 1, dtype=np.int64) << _LATTICE_SHIFT
+        bounds = np.searchsorted(self.keys, parts)
+        return (self.keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
-    def __getitem__(self, i):
-        return self.lattices[i]
-
-    def lookup(self, points: np.ndarray):
-        """Every (lattice, point) pair whose cell is filled, lattice-major
-        with points in order: (table row per hit, point index per hit, the
-        hit offset where each lattice starts plus the total, number of points
-        with at least one hit). Each point is keyed once, by its half cell.
-        The table must hold at least one cell."""
+    def lookup(self, points: np.ndarray, layer_keys):
+        """Every (lattice, point) pair whose cell in the point's layer is
+        filled, lattice-major with points in order: (table row per hit,
+        point index per hit, number of points with at least one hit).
+        layer_keys is each point's layer index shifted to _LAYER_SHIFT. Each
+        point is keyed once, by its half cell. The table must hold at least
+        one cell."""
         q = _half_cells(points, self.cell_size)
-        keys = _pack(q[:, 0], q[:, 1])
+        keys = _pack(q[:, 0], q[:, 1]) + layer_keys
         pos = np.searchsorted(self.half_keys, keys)
         np.minimum(pos, len(self.half_keys) - 1, out=pos)
         found = self.half_keys[pos] == keys
         rows = self.half_rows.take(pos, axis=1)               # (4, N)
         hit = (rows >= 0) & found
-        lattice, point = np.nonzero(hit)
-        starts = np.searchsorted(lattice, np.arange(len(_LATTICES) + 1))
         # Every half cell in the table lies in a filled cell.
-        return rows[hit], point, starts, int(np.count_nonzero(found))
+        return rows[hit], np.nonzero(hit)[1], int(np.count_nonzero(found))
+
+
+class NdtQuery:
+    """The query points of one NDT term over the map layers: the points of
+    every layer stacked in layer order, each point's layer index shifted to
+    _LAYER_SHIFT, and each point's weight. Built from one (weight, points)
+    pair per layer, once per match."""
+
+    __slots__ = ("points", "layer_keys", "weights")
+
+    def __init__(self, layers):
+        pts = [np.asarray(p, dtype=float).reshape(-1, 2) for _, p in layers]
+        sizes = [len(p) for p in pts]
+        self.points = np.concatenate(pts)
+        self.layer_keys = np.repeat(np.arange(len(pts), dtype=np.int64) << _LAYER_SHIFT, sizes)
+        self.weights = np.repeat(np.array([w for w, _ in layers], dtype=float), sizes)
 
 
 def _half_cell_table(keys: np.ndarray):
     """(half_keys, half_rows) of NdtGrids for a sorted cell-key table: the
-    four half cells of each cell, merged by key, with the cell's row in its
-    lattice's row of half_rows."""
-    lattice = keys >> _LATTICE_SHIFT
-    cell = keys - (lattice << _LATTICE_SHIFT)
-    # Corner-major, so the keys form 16 sorted runs that the stable sort
-    # merges.
-    half = (2 * cell + _CORNER_KEYS.take(lattice, axis=1)).ravel()
+    four half cells of each cell, keyed in the cell's layer and merged by
+    key, with the cell's row in its lattice's row of half_rows."""
+    layer = keys >> _LAYER_SHIFT << _LAYER_SHIFT
+    lattice = (keys - layer) >> _LATTICE_SHIFT
+    cell = keys - layer - (lattice << _LATTICE_SHIFT)
+    # Corner-major, so the keys form 16 sorted runs per layer that the
+    # stable sort merges.
+    half = (2 * cell + layer + _CORNER_KEYS.take(lattice, axis=1)).ravel()
     order = np.argsort(half, kind="stable")
     half = half[order]
     first = np.ones(len(half), dtype=bool)
@@ -220,11 +222,11 @@ def _regularize_covariances(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CellTable:
-    """Statistics of one point cloud's cells in all four lattices, keyed at
-    cell_size: packed keys (the NdtGrids.keys layout, sorted), point counts,
-    means and centred second moments (xx, xy, yy). Every occupied cell is
-    kept, however few its points, so that tables of several clouds merge
-    into exactly the cells of their union."""
+    """Statistics of one point cloud's cells in all four lattices of one map
+    layer, keyed at cell_size: packed keys (the NdtGrids.keys layout,
+    sorted), point counts, means and centred second moments (xx, xy, yy).
+    Every occupied cell is kept, however few its points, so that tables of
+    several clouds merge into exactly the cells of their union."""
 
     cell_size: float
     keys: np.ndarray    # (m,) int64
@@ -253,35 +255,34 @@ def _merge_rows(keys, counts, means, m2):
     return keys[starts], n, mu, np.add.reduceat(m2 + spread, starts)
 
 
-def cell_table(points: np.ndarray, cell_size: float) -> CellTable:
-    """Cell table of a point cloud: each point is a one-point cell in each
-    lattice, the cell that covers its half cell, merged by key."""
+def cell_table(points: np.ndarray, cell_size: float, layer: int = 0) -> CellTable:
+    """Cell table of a point cloud in one map layer: each point is a
+    one-point cell in each lattice, the cell that covers its half cell,
+    merged by key."""
     if not cell_size > 0:
         raise ValueError("cell_size must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     ij = (_half_cells(pts, cell_size) - _HALF_SHIFTS[:, None, :]) >> 1   # (4, n, 2)
-    keys = ((_LATTICES[:, None] << _LATTICE_SHIFT) + _pack(ij[..., 0], ij[..., 1])).ravel()
+    parts = (layer << _LAYER_SHIFT) + (_LATTICES[:, None] << _LATTICE_SHIFT)
+    keys = (parts + _pack(ij[..., 0], ij[..., 1])).ravel()
     rows = len(keys)
     merged = _merge_rows(keys, np.ones(rows, dtype=np.int64),
                          np.tile(pts, (len(GRID_SHIFTS), 1)), np.zeros((rows, 3)))
     return CellTable(cell_size, *merged)
 
 
-def is_cell_tables(source) -> bool:
-    """True for a non-empty list or tuple of CellTables."""
-    return (isinstance(source, (list, tuple)) and len(source) > 0
-            and all(isinstance(t, CellTable) for t in source))
-
-
 def build_grids(source, cell_size: float,
                 min_points: int = MIN_CELL_POINTS) -> NdtGrids:
-    """Build the four half-cell-shifted NDT grids of a point cloud, or of the
-    union of the clouds whose CellTables are given: the tables are merged,
-    cells with fewer than min_points points dropped and the sample
-    covariances (ddof=1) regularized."""
+    """Build the NDT grids of a point cloud, which forms layer 0, or of the
+    map layers whose CellTables are given, one or more per layer: the tables
+    are merged in one pass, cells with fewer than min_points points dropped
+    and the sample covariances (ddof=1) regularized."""
     if not cell_size > 0:
         raise ValueError("cell_size must be positive")
-    tables = source if is_cell_tables(source) else [cell_table(source, cell_size)]
+    tables = source
+    if not (isinstance(source, (list, tuple)) and source
+            and all(isinstance(t, CellTable) for t in source)):
+        tables = [cell_table(source, cell_size)]
     if any(t.cell_size != cell_size for t in tables):
         raise ValueError(f"cell tables were not keyed at cell_size {cell_size}")
     keys, counts, means, m2 = _merge_rows(*(np.concatenate(a) for a in zip(
@@ -290,23 +291,16 @@ def build_grids(source, cell_size: float,
     keys, counts, means, m2 = keys[keep], counts[keep], means[keep], m2[keep]
     # take() keeps the table C-contiguous, which the per-scan gathers rely on.
     covs = (m2 / (counts - 1)[:, None]).take([0, 1, 1, 2], axis=1).reshape(-1, 2, 2)
-    covs, inv_covs = _regularize_covariances(covs) if len(keys) else (covs, covs.copy())
-    counts = counts.astype(float)
-    shifts = np.array(GRID_SHIFTS) * cell_size
-    bounds = np.searchsorted(keys, np.arange(len(GRID_SHIFTS) + 1) << _LATTICE_SHIFT)
-    lattices = [
-        NdtGrid(shifts[l], *(a[lo:hi] for a in (keys, means, covs, inv_covs, counts)))
-        for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-    return NdtGrids(cell_size, keys, means, inv_covs, lattices, *_half_cell_table(keys))
+    inv_covs = _regularize_covariances(covs)[1] if len(keys) else covs
+    return NdtGrids(cell_size, keys, means, inv_covs, *_half_cell_table(keys))
 
 
 def score(terms, pose: Pose2D, derivatives: bool = True):
     """The matching objective: a weighted sum of terms at a pose.
 
     terms is a sequence of (weight, term) pairs; term(pose, derivatives)
-    returns score_terms' (score, gradient, hessian, n_assoc, n_points). An NDT
-    layer is partial(score_terms, grids, points). Returns (score, gradient
+    returns score_terms' (score, gradient, hessian, n_assoc, n_points). The
+    NDT term is partial(score_terms, grids, query). Returns (score, gradient
     (3,), hessian (3,3), associated_ratio), the ratio over the points of all
     terms; with derivatives=False the gradient and Hessian are None and the
     score and ratio are those of the full evaluation, bit for bit.
@@ -325,24 +319,33 @@ def score(terms, pose: Pose2D, derivatives: bool = True):
     return total, grad, hess, n_assoc / n_pts if n_pts else 0.0
 
 
-def score_terms(grids: NdtGrids, points: np.ndarray, pose: Pose2D,
-                derivatives: bool = True):
-    """One NDT layer's score, gradient and Hessian w.r.t. (x, y, theta) of
-    points matched against grids, and the raw association counts, so that
-    score() can merge several layers into one ratio."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+# Entry (i, j) of the Hessian in the reduction vector of score_terms.
+_HESS_ENTRIES = np.array([[3, 4, 6], [4, 5, 7], [6, 7, 8]])
+
+
+def score_terms(grids: NdtGrids, points, pose: Pose2D, derivatives: bool = True):
+    """The weighted NDT score, gradient and Hessian w.r.t. (x, y, theta) of
+    query points matched against the cells of their own layers, and the raw
+    association counts, so that score() can merge terms into one ratio.
+    points is an NdtQuery, or a point array: one layer at weight 1.
+
+    Each hit, a point in a filled cell of one lattice, adds its weighted
+    score ws = w exp(-0.5 u^T Sigma^-1 u); the score is the sum of ws and
+    the derivatives come from one product of their (9, K) factors with ws,
+    so a score-only evaluation gives the full one's score bit for bit."""
+    q = points if isinstance(points, NdtQuery) else NdtQuery(((1.0, points),))
+    pts = q.points
     n_pts = len(pts)
-    total = 0.0
-    grad = np.zeros(3) if derivatives else None
-    hess = np.zeros((3, 3)) if derivatives else None
     if n_pts == 0 or len(grids.keys) == 0:
-        return total, grad, hess, 0, n_pts
+        if not derivatives:
+            return 0.0, None, None, 0, n_pts
+        return 0.0, np.zeros(3), np.zeros((3, 3)), 0, n_pts
 
     c, sn = math.cos(pose.theta), math.sin(pose.theta)
     R = np.array([[c, -sn], [sn, c]])
     rp = pts @ R.T
     tp = rp + np.array([pose.x, pose.y])
-    rows, hit_pts, starts, n_assoc = grids.lookup(tp)
+    rows, hit_pts, n_assoc = grids.lookup(tp, q.layer_keys)
 
     # take() gathers rows far faster than fancy indexing of 2-D/3-D arrays.
     u = tp.take(hit_pts, axis=0) - grids.means.take(rows, axis=0)   # (K,2)
@@ -351,44 +354,29 @@ def score_terms(grids: NdtGrids, points: np.ndarray, pose: Pose2D,
     u0, u1 = u[:, 0], u[:, 1]
     a0 = ic00 * u0 + ic01 * u1                              # Sigma^-1 u
     a1 = ic01 * u0 + ic11 * u1
-    mah = u0 * a0 + u1 * a1
-    sterm = np.exp(-0.5 * mah)                              # (K,)
-    if derivatives:
-        dR = np.array([[-sn, -c], [c, -sn]])
-        drp = (pts @ dR.T).take(hit_pts, axis=0)    # du/dtheta per hit
-        d2rp = -rp.take(hit_pts, axis=0)            # d2u/dtheta2 per hit
-        # Jacobian columns of u: (1,0), (0,1), dR p.
-        j0, j1 = drp[:, 0], drp[:, 1]
-        b2 = a0 * j0 + a1 * j1
-        # Hessian: sum s * (b b^T - J^T Sigma^-1 J - a . d2u), where only the
-        # theta-theta entry has a nonzero second derivative of u.
-        icj0 = ic00 * j0 + ic01 * j1
-        icj1 = ic01 * j0 + ic11 * j1
-        h_terms = ((0, 0, a0 * a0 - ic00), (0, 1, a0 * a1 - ic01),
-                   (1, 1, a1 * a1 - ic11), (0, 2, a0 * b2 - icj0),
-                   (1, 2, a1 * b2 - icj1),
-                   (2, 2, b2 * b2 - (j0 * icj0 + j1 * icj1)
-                    - (a0 * d2rp[:, 0] + a1 * d2rp[:, 1])))
+    ws = np.exp(-0.5 * (u0 * a0 + u1 * a1)) * q.weights.take(hit_pts)
+    total = float(ws.sum())
+    if not derivatives:
+        return total, None, None, n_assoc, n_pts
 
-    # Each lattice's hits are reduced on their own and in lattice order, so
-    # the sums round exactly as a lattice-by-lattice evaluation would.
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        if lo == hi:
-            continue
-        s = sterm[lo:hi]
-        total += float(s.sum())
-        if derivatives:
-            grad[0] -= float(s @ a0[lo:hi])
-            grad[1] -= float(s @ a1[lo:hi])
-            grad[2] -= float(s @ b2[lo:hi])
-            for i, j, term in h_terms:
-                hess[i, j] += float(s @ term[lo:hi])
-
-    if derivatives:
-        hess[1, 0] = hess[0, 1]
-        hess[2, 0] = hess[0, 2]
-        hess[2, 1] = hess[1, 2]
-    return total, grad, hess, n_assoc, n_pts
+    dR = np.array([[-sn, -c], [c, -sn]])
+    drp = (pts @ dR.T).take(hit_pts, axis=0)    # du/dtheta per hit
+    rph = rp.take(hit_pts, axis=0)              # -d2u/dtheta2 per hit
+    # Jacobian columns of u: (1,0), (0,1), dR p. The gradient is
+    # -sum ws J^T Sigma^-1 u; the Hessian sum ws (b b^T - J^T Sigma^-1 J -
+    # a . d2u), where only the theta-theta entry has a nonzero second
+    # derivative of u.
+    j0, j1 = drp[:, 0], drp[:, 1]
+    b2 = a0 * j0 + a1 * j1
+    icj0 = ic00 * j0 + ic01 * j1
+    icj1 = ic01 * j0 + ic11 * j1
+    factors = np.stack((a0, a1, b2,
+                        a0 * a0 - ic00, a0 * a1 - ic01, a1 * a1 - ic11,
+                        a0 * b2 - icj0, a1 * b2 - icj1,
+                        b2 * b2 - (j0 * icj0 + j1 * icj1)
+                        + (a0 * rph[:, 0] + a1 * rph[:, 1])))
+    sums = factors @ ws
+    return total, -sums[:3], sums[_HESS_ENTRIES], n_assoc, n_pts
 
 
 # Eigenvalue floor for the step computation, relative to the stiffest
@@ -469,11 +457,22 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
                        best_h, best_ratio)
 
 
+def ascend(grids: NdtGrids, query: NdtQuery, initial: Pose2D,
+           opts: MatchOptions | None = None, *terms) -> MatchResult:
+    """Newton ascent of the objective with one NDT term, query against
+    grids at weight 1, plus the given (weight, term) pairs. The result
+    carries the query's point count."""
+    terms = ((1.0, partial(score_terms, grids, query)),) + terms
+    result = newton_ascent(partial(score, terms), initial, opts)
+    result.n_points = len(query.points)
+    return result
+
+
 def match(grids, points: np.ndarray, initial: Pose2D,
           opts: MatchOptions | None = None) -> MatchResult:
-    """Match a point cloud against NDT grids starting from an initial pose."""
-    terms = ((1.0, partial(score_terms, grids, points)),)
-    return newton_ascent(partial(score, terms), initial, opts)
+    """Match a point cloud against the layer-0 NDT grids starting from an
+    initial pose."""
+    return ascend(grids, NdtQuery(((1.0, points),)), initial, opts)
 
 
 DEFAULT_CELL_SIZE = 0.5  # m

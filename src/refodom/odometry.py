@@ -18,8 +18,8 @@ import numpy as np
 
 from .detector import DetectorParams, detect
 from .geometry import Pose2D, compose, relative, transform_points
-from .layers import (DEFAULT_MARKER_WEIGHT, DEFAULT_SYNTH_RADIUS,
-                     build_marker_layer, marker_table, match_layered, split_points)
+from .layers import (DEFAULT_MARKER_WEIGHT, DEFAULT_SYNTH_RADIUS, MARKER_LAYER,
+                     marker_table, match_layered, split_points)
 from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, build_grids,
                   cell_table, check_integers, match)
 from .scan import LaserScan
@@ -118,17 +118,17 @@ class _ProcessedScan:
 class LocalMap:
     """Bounded FIFO of keyframes. A keyframe's points enter the map once, as
     one ndt.CellTable per map layer; on every change the window's tables are
-    merged into the grids, so the map is always exactly what the points of
-    the keyframes in the window imply.
+    merged into one NdtGrids over every layer, so the map is always exactly
+    what the points of the keyframes in the window imply.
 
-    Layers: every mode keeps the regular points; layer mode keeps, as a
-    second layer, the synthesized marker cloud. Plain mode detects no
-    markers, and tracking mode carries them in the track references."""
+    Layers: every mode keeps the regular points in layer 0; layer mode keeps
+    the synthesized marker cloud in layer MARKER_LAYER. Plain mode detects
+    no markers, and tracking mode carries them in the track references."""
 
     def __init__(self, config: OdometryConfig):
         self.config = config
         self.keyframes: list[Keyframe] = []
-        self.grids: tuple = ()      # one NdtGrids per map layer
+        self.grids = None           # ndt.NdtGrids, from the first keyframe on
 
     def __len__(self):
         return len(self.keyframes)
@@ -144,18 +144,16 @@ class LocalMap:
         cfg = self.config
         tables = (cell_table(regular, cfg.cell_size),)
         if cfg.mode == "layer":
-            tables += (marker_table(marker, cfg.synth_radius, cfg.cell_size),)
+            tables += (marker_table(marker, cfg.synth_radius, cfg.cell_size, MARKER_LAYER),)
         self.keyframes.append(Keyframe(timestamp, pose, tables, tracks_snapshot))
         if len(self.keyframes) > cfg.n_keyframes:
             self.keyframes.pop(0)
         self.rebuild()
 
     def rebuild(self):
-        """Merge the window's cell tables into the grids of each layer."""
-        cfg = self.config
-        regular, *marker = zip(*(k.tables for k in self.keyframes))
-        self.grids = (build_grids(regular, cfg.cell_size),) + tuple(
-            build_marker_layer(m, cfg.synth_radius, cfg.cell_size) for m in marker)
+        """Merge the window's cell tables of every layer into the grids."""
+        tables = [t for k in self.keyframes for t in k.tables]
+        self.grids = build_grids(tables, self.config.cell_size)
 
     def reference_tracks(self) -> dict:
         return merge_reference_tracks(k.tracks_snapshot for k in self.keyframes)
@@ -219,8 +217,7 @@ class Odometry:
             self.tracker.update(centers_final, assignments)
             self._log_tracks(scan.timestamp)
 
-        n_points = len(reg_match) + (len(marker) if cfg.mode == "layer" else 0)
-        ok, _ = self._check(result, n_points)
+        ok, _ = self._check(result)
         is_keyframe = False
 
         if not ok:
@@ -230,7 +227,7 @@ class Odometry:
                     # The tracker changed; re-derive the assigned tracks in view.
                     _, current_tracks = self._assign_tracks(centers, result.pose)
                 result = self._match(reg_match, marker, current_tracks, initial)
-                ok, _ = self._check(result, n_points)
+                ok, _ = self._check(result)
             if not ok:
                 cov = self._covariance(result, inflated=True)
                 self.pose_history.append(initial)
@@ -275,17 +272,17 @@ class Odometry:
             return match_layered(grids, regular, marker, cfg.marker_weight,
                                  initial, cfg.match)
         if cfg.mode == "tracking":
-            return match_tracked(grids[0], regular, current_tracks,
+            return match_tracked(grids, regular, current_tracks,
                                  self.local_map.reference_tracks(),
                                  cfg.w_tracks, initial, cfg.match)
-        return match(grids[0], regular, initial, cfg.match)
+        return match(grids, regular, initial, cfg.match)
 
-    def _check(self, result: MatchResult, n_points: int):
+    def _check(self, result: MatchResult):
         crit = self.config.criteria
         reasons = []
         if not result.converged:
             reasons.append("diverged")
-        n_assoc = result.associated_ratio * n_points
+        n_assoc = result.associated_ratio * result.n_points
         if n_assoc <= 0:
             reasons.append("no-association")
         elif result.score / n_assoc < crit.min_score:

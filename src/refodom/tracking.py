@@ -13,8 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import Pose2D
-from .ndt import (MatchOptions, MatchResult, check_integers, newton_ascent, score,
-                  score_terms)
+from .ndt import MatchOptions, MatchResult, NdtQuery, ascend, check_integers
 
 # Calibrated by sweeping the marked-corridor scenario: the quadratic track
 # pull must dominate the residual along-corridor ripple of a few hundred
@@ -189,6 +188,5 @@ def match_tracked(grids, points: np.ndarray, current_tracks: dict,
     shared = sorted(set(current_tracks) & set(reference_tracks))
     cur = np.array([current_tracks[i] for i in shared], dtype=float).reshape(-1, 2)
     ref = np.array([reference_tracks[i] for i in shared], dtype=float).reshape(-1, 2)
-    terms = ((1.0, partial(score_terms, grids, points)),
-             (-w_tracks, partial(track_terms, cur, ref)))
-    return newton_ascent(partial(score, terms), initial, opts)
+    return ascend(grids, NdtQuery(((1.0, points),)), initial, opts,
+                  (-w_tracks, partial(track_terms, cur, ref)))

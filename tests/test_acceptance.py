@@ -18,9 +18,9 @@ from refodom.detector import DetectorParams, detect, expected_point_count
 from refodom.evaluation import (compute_ate, labels_from_world, pr_sweep,
                                 threshold_detector)
 from refodom.geometry import Pose2D, compose, inverse, transform_points
-from refodom.layers import build_marker_layer, match_layered
-from refodom.ndt import (DEFAULT_CELL_SIZE, MatchOptions, build_grids, match,
-                         newton_ascent, score, score_terms)
+from refodom.layers import MARKER_LAYER, build_marker_layer, match_layered
+from refodom.ndt import (DEFAULT_CELL_SIZE, MatchOptions, build_grids, cell_table,
+                         match, newton_ascent, score, score_terms)
 from refodom.odometry import Odometry, OdometryConfig
 from refodom.scan import get_sensor
 from refodom.simulator import (SimConfig, builtin_trajectory, builtin_worlds,
@@ -256,8 +256,10 @@ def test_degeneration_identities(capsys):
     initial = Pose2D(0.08, -0.04, 0.02)
 
     plain = match(grids, cloud, initial)
-    as_layer = match_layered((grids, build_grids(empty, DEFAULT_CELL_SIZE)),
-                             cloud, empty, 0.0, initial)
+    two_layers = build_grids([cell_table(cloud, DEFAULT_CELL_SIZE),
+                              cell_table(empty, DEFAULT_CELL_SIZE, MARKER_LAYER)],
+                             DEFAULT_CELL_SIZE)
+    as_layer = match_layered(two_layers, cloud, empty, 0.0, initial)
     layer_exact = (as_layer.pose == plain.pose and as_layer.score == plain.score)
 
     tracks = {0: markers[0]}

@@ -1,13 +1,13 @@
-from functools import partial
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import Pose2D, inverse, transform_points
-from refodom.layers import (DEFAULT_SYNTH_RADIUS, SYNTH_CIRCLE_POINTS,
-                            build_marker_layer, match_layered, split_points,
-                            synthesize_marker_cloud)
-from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, match, score, score_terms
+from refodom.layers import (DEFAULT_SYNTH_RADIUS, MARKER_LAYER, SYNTH_CIRCLE_POINTS,
+                            build_marker_layer, marker_table, match_layered,
+                            split_points, synthesize_marker_cloud)
+from refodom.ndt import (DEFAULT_CELL_SIZE, NdtQuery, build_grids, cell_table, match,
+                         score_terms)
 
 
 class FakeDetection:
@@ -42,6 +42,20 @@ def test_split_points_no_detections():
     assert len(regular) == 8 and len(marker) == 0
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(beams=st.lists(st.integers(0, 60), unique=True, max_size=40).map(sorted),
+       supports=st.lists(st.tuples(st.integers(-2, 62), st.integers(0, 8)), max_size=6))
+def test_split_points_is_an_order_keeping_partition(beams, supports):
+    # Each point is a marker point exactly when its beam lies in a support
+    # range, overlapping ranges included; both parts keep the scan order.
+    pts = np.column_stack((np.arange(len(beams), dtype=float), np.zeros(len(beams))))
+    dets = [FakeDetection(start, start + length) for start, length in supports]
+    regular, marker = split_points(pts, np.array(beams, dtype=np.int64), dets)
+    in_support = [any(d.support_start <= b <= d.support_end for d in dets) for b in beams]
+    assert regular[:, 0].tolist() == [i for i, m in enumerate(in_support) if not m]
+    assert marker[:, 0].tolist() == [i for i, m in enumerate(in_support) if m]
+
+
 def test_synthesize_marker_cloud_count_and_radius():
     pts = np.array([[1.0, 2.0], [-3.0, 0.5]])
     cloud = synthesize_marker_cloud(pts, 0.05)
@@ -58,12 +72,11 @@ def test_synthesize_marker_cloud_empty_and_invalid():
 
 def test_single_marker_point_yields_cells():
     grids = build_marker_layer(np.array([[2.0, 1.0]]))
-    assert any(len(g) > 0 for g in grids)
+    assert len(grids.keys) > 0
     # the synthesized circle has radius r: each cell covariance eigenvalue is
     # bounded by r^2 (ring variance r^2/2 per axis before regularization)
-    for g in grids:
-        for cov in g.covs:
-            assert np.linalg.eigvalsh(cov).max() <= DEFAULT_SYNTH_RADIUS ** 2
+    for cov in np.linalg.inv(grids.inv_covs):
+        assert np.linalg.eigvalsh(cov).max() <= DEFAULT_SYNTH_RADIUS ** 2
 
 
 def structured_cloud(rng):
@@ -78,44 +91,43 @@ def structured_cloud(rng):
 
 
 def make_layered(walls, markers):
-    return build_grids(walls, DEFAULT_CELL_SIZE), build_marker_layer(markers)
+    """The two-layer grids of the local map: walls in layer 0, the
+    synthesized marker cloud in layer MARKER_LAYER."""
+    return build_grids([cell_table(walls, DEFAULT_CELL_SIZE),
+                        marker_table(markers, DEFAULT_SYNTH_RADIUS, DEFAULT_CELL_SIZE,
+                                     MARKER_LAYER)], DEFAULT_CELL_SIZE)
 
 
 def test_layered_score_decomposes():
-    # The two-layer objective is s_r + w s_m, bit for bit as that formula,
-    # with its ratio over the points of both layers.
+    # The two-layer NDT term is s_r + w s_m over the regular grids and the
+    # marker layer alone, up to summation order, with its counts over the
+    # points of both layers.
     rng = np.random.default_rng(1)
     walls, markers = structured_cloud(rng)
-    regular, marker = make_layered(walls, markers)
     pose = Pose2D(0.02, -0.01, 0.005)
-    terms = ((1.0, partial(score_terms, regular, walls)),
-             (7.0, partial(score_terms, marker, markers)))
-    s, grad, hess, ratio = score(terms, pose)
-    s_r, g_r, h_r, a_r, n_r = score_terms(regular, walls, pose)
-    s_m, g_m, h_m, a_m, n_m = score_terms(marker, markers, pose)
-    assert s == s_r + 7.0 * s_m
-    assert np.array_equal(grad, g_r + 7.0 * g_m)
-    assert np.array_equal(hess, h_r + 7.0 * h_m)
-    assert ratio == (a_r + a_m) / (n_r + n_m)
-    assert 0 < ratio <= 1
-    s_r, _, _, a_r, n_r = score_terms(regular, walls, pose, derivatives=False)
-    s_m, _, _, a_m, n_m = score_terms(marker, markers, pose, derivatives=False)
-    assert score(terms, pose, derivatives=False) == (
-        s_r + 7.0 * s_m, None, None, (a_r + a_m) / (n_r + n_m))
+    query = NdtQuery(((1.0, walls), (7.0, markers)))
+    s, grad, hess, n_assoc, n_pts = score_terms(make_layered(walls, markers), query, pose)
+    s_r, g_r, h_r, a_r, n_r = score_terms(build_grids(walls, DEFAULT_CELL_SIZE), walls, pose)
+    s_m, g_m, h_m, a_m, n_m = score_terms(build_marker_layer(markers), markers, pose)
+    assert s == pytest.approx(s_r + 7.0 * s_m, rel=1e-12)
+    assert grad == pytest.approx(g_r + 7.0 * g_m, rel=1e-12)
+    assert hess == pytest.approx(h_r + 7.0 * h_m, rel=1e-12)
+    assert (n_assoc, n_pts) == (a_r + a_m, n_r + n_m)
+    assert 0 < a_m <= n_m
 
 
 def test_zero_weight_no_markers_equals_plain_exactly():
     rng = np.random.default_rng(2)
     walls, _ = structured_cloud(rng)
     empty = np.empty((0, 2))
-    grids = (build_grids(walls, DEFAULT_CELL_SIZE), build_grids(empty, DEFAULT_CELL_SIZE))
     initial = Pose2D(0.1, -0.05, 0.02)
-    a = match_layered(grids, walls, empty, 0.0, initial)
-    b = match(grids[0], walls, initial)
+    a = match_layered(make_layered(walls, empty), walls, empty, 0.0, initial)
+    b = match(build_grids(walls, DEFAULT_CELL_SIZE), walls, initial)
     assert a.pose == b.pose
     assert a.score == b.score
     assert a.iterations == b.iterations
     assert a.associated_ratio == b.associated_ratio
+    assert a.n_points == b.n_points == len(walls)
 
 
 def test_layered_match_recovers_offset():
@@ -126,6 +138,7 @@ def test_layered_match_recovers_offset():
     result = match_layered(g, transform_points(inverse(true), walls),
                            transform_points(inverse(true), markers), 10.0, Pose2D())
     assert result.converged
+    assert result.n_points == len(walls) + len(markers)
     assert result.pose.x == pytest.approx(true.x, abs=1e-2)
     assert result.pose.y == pytest.approx(true.y, abs=1e-2)
     assert result.pose.theta == pytest.approx(true.theta, abs=1e-2)

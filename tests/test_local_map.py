@@ -1,13 +1,14 @@
-"""Property tests of the local map: the per-keyframe cell tables, merged on
-every keyframe change, give the grids that build_grids makes from the stacked
-points of the keyframes in the window."""
+"""Property tests of the local map: the per-keyframe cell tables of every
+layer, merged on every keyframe change, give the grids that build_grids
+makes from the stacked points of each layer of the keyframes in the
+window."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import Pose2D
-from refodom.layers import synthesize_marker_cloud
+from refodom.layers import MARKER_LAYER, synthesize_marker_cloud
 from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, cell_table
 from refodom.odometry import MODES, LocalMap, OdometryConfig
 
@@ -36,30 +37,31 @@ def keyframe_points(draw):
 
 
 def assert_same_grids(merged, stacked):
-    """Identical keys and counts; means, covariances and inverse covariances
-    equal to REL_TOL relative to each cell's largest entry (means: to at
-    least the cell size)."""
+    """Identical keys, so identical cells in every layer and lattice, and
+    half-cell tables; means, covariances (from the inverse covariances) and
+    inverse covariances equal to REL_TOL relative to each cell's largest
+    entry (means: to at least the cell size)."""
     assert np.array_equal(merged.keys, stacked.keys)
-    for gm, gs in zip(merged, stacked, strict=True):
-        assert np.array_equal(gm.keys, gs.keys)
-        assert np.array_equal(gm.counts, gs.counts)
-        for name, floor in (("means", DEFAULT_CELL_SIZE), ("covs", 0.0), ("inv_covs", 0.0)):
-            a, b = getattr(gm, name), getattr(gs, name)
-            width = int(np.prod(b.shape[1:]))
-            a, b = a.reshape(len(a), width), b.reshape(len(b), width)
-            scale = np.maximum(np.abs(b).max(axis=1, initial=0.0), floor)
-            err = np.abs(a - b).max(axis=1, initial=0.0)
-            assert np.all(err <= REL_TOL * scale), (name, float((err / scale).max()))
+    assert np.array_equal(merged.half_keys, stacked.half_keys)
+    assert np.array_equal(merged.half_rows, stacked.half_rows)
+    for name, floor in (("means", DEFAULT_CELL_SIZE), ("covs", 0.0), ("inv_covs", 0.0)):
+        a, b = (np.linalg.inv(g.inv_covs) if name == "covs" else getattr(g, name)
+                for g in (merged, stacked))
+        width = int(np.prod(b.shape[1:]))
+        a, b = a.reshape(len(a), width), b.reshape(len(b), width)
+        scale = np.maximum(np.abs(b).max(axis=1, initial=0.0), floor)
+        err = np.abs(a - b).max(axis=1, initial=0.0)
+        assert np.all(err <= REL_TOL * scale), (name, float((err / scale).max()))
 
 
 def check_window(local_map, window, mode):
     regular = np.vstack([r for r, _ in window])
-    marker = np.vstack([m for _, m in window])
-    assert len(local_map.grids) == (2 if mode == "layer" else 1)
-    assert_same_grids(local_map.grids[0], build_grids(regular, DEFAULT_CELL_SIZE))
+    tables = [cell_table(regular, DEFAULT_CELL_SIZE)]
     if mode == "layer":
+        marker = np.vstack([m for _, m in window])
         synth = synthesize_marker_cloud(marker, local_map.config.synth_radius)
-        assert_same_grids(local_map.grids[1], build_grids(synth, DEFAULT_CELL_SIZE))
+        tables.append(cell_table(synth, DEFAULT_CELL_SIZE, MARKER_LAYER))
+    assert_same_grids(local_map.grids, build_grids(tables, DEFAULT_CELL_SIZE))
 
 
 def push(mode, frames):
@@ -90,7 +92,7 @@ def test_empty_and_markerless_keyframes(mode):
               (empty, empty), (empty, empty), (empty, empty)]
     local_map = push(mode, frames)
     # The window now holds only empty keyframes: every layer is empty.
-    assert all(len(grids.keys) == 0 for grids in local_map.grids)
+    assert len(local_map.grids.keys) == 0
 
 
 def test_cell_tables_must_share_the_cell_size():

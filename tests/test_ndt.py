@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import Pose2D, transform_points
-from refodom.layers import build_marker_layer
+from refodom.layers import DEFAULT_SYNTH_RADIUS, MARKER_LAYER, marker_table
 from refodom.ndt import (DEFAULT_CELL_SIZE, EIG_RATIO_FLOOR, GRID_SHIFTS,
-                         MatchOptions, MIN_CELL_POINTS, _KEY_OFFSET, _KEY_STRIDE,
-                         _LATTICE_SHIFT, _ascent_direction, _regularize_covariances,
-                         build_grids, match, newton_ascent, score, score_terms)
+                         MatchOptions, MIN_CELL_POINTS, NdtQuery, _KEY_OFFSET,
+                         _KEY_STRIDE, _LATTICE_SHIFT, _LAYER_SHIFT, _ascent_direction,
+                         _regularize_covariances, build_grids, cell_table, match,
+                         newton_ascent, score, score_terms)
 from refodom.tracking import track_terms
 
 
@@ -32,11 +33,16 @@ def wall_cloud(rng=None, n=400):
 
 
 def test_build_grids_four_lattices():
-    grids = build_grids(wall_cloud(), DEFAULT_CELL_SIZE)
-    assert len(grids) == len(GRID_SHIFTS)
-    for grid in grids:
-        assert len(grid) > 0
-        assert np.all(grid.counts >= MIN_CELL_POINTS)
+    # A point cloud is one layer of four lattices, holding exactly the cells
+    # of its cell table with at least MIN_CELL_POINTS points.
+    cloud = wall_cloud()
+    grids = build_grids(cloud, DEFAULT_CELL_SIZE)
+    parts = list(grids)
+    assert len(parts) == len(GRID_SHIFTS)
+    assert all(len(part) > 0 for part in parts)
+    assert np.array_equal(np.concatenate(parts), grids.keys)
+    table = cell_table(cloud, DEFAULT_CELL_SIZE)
+    assert np.array_equal(grids.keys, table.keys[table.counts >= MIN_CELL_POINTS])
 
 
 def test_build_grids_rejects_bad_cell_size():
@@ -54,25 +60,24 @@ def test_sparse_cells_dropped():
 def test_cell_statistics_match_numpy():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.05, 0.45, size=(20, 2))  # all in one base-grid cell
-    grid = build_grids(pts, DEFAULT_CELL_SIZE)[0]
-    assert len(grid) == 1
-    assert grid.means[0] == pytest.approx(pts.mean(axis=0), abs=1e-12)
+    grids = build_grids(pts, DEFAULT_CELL_SIZE)
+    assert len(next(iter(grids))) == 1           # the base lattice's cell is row 0
+    assert grids.means[0] == pytest.approx(pts.mean(axis=0), abs=1e-12)
     d = pts - pts.mean(axis=0)
     cov = d.T @ d / (len(pts) - 1)
     # isotropic enough that regularization leaves it untouched
-    assert grid.covs[0] == pytest.approx(cov, rel=1e-6)
+    assert np.linalg.inv(grids.inv_covs[0]) == pytest.approx(cov, rel=1e-6)
 
 
 def test_collinear_cell_regularized():
     # Perfectly collinear points: raw covariance is singular, regularized one
     # must have eigenvalue ratio at least EIG_RATIO_FLOOR.
     pts = np.column_stack((np.linspace(0.05, 0.45, 10), np.full(10, 0.2)))
-    grid = build_grids(pts, DEFAULT_CELL_SIZE)[0]
-    evals = np.linalg.eigvalsh(grid.covs[0])
+    inv_cov = build_grids(pts, DEFAULT_CELL_SIZE).inv_covs[0]
+    assert np.array_equal(inv_cov, inv_cov.T)
+    evals = np.linalg.eigvalsh(np.linalg.inv(inv_cov))
     assert evals[0] > 0
     assert evals[0] / evals[1] >= EIG_RATIO_FLOOR * (1 - 1e-9)
-    inv = np.linalg.inv(grid.covs[0])
-    assert grid.inv_covs[0] == pytest.approx(inv, rel=1e-9)
 
 
 def test_regularization_keeps_nearly_diagonal_and_isotropic_covariances():
@@ -89,9 +94,8 @@ def test_regularization_keeps_nearly_diagonal_and_isotropic_covariances():
 
 def test_lookup_empty_inputs():
     grids = build_grids(wall_cloud(), DEFAULT_CELL_SIZE)
-    rows, hit_pts, starts, n_assoc = grids.lookup(np.empty((0, 2)))
+    rows, hit_pts, n_assoc = grids.lookup(np.empty((0, 2)), 0)
     assert len(rows) == len(hit_pts) == n_assoc == 0
-    assert starts.tolist() == [0] * (len(GRID_SHIFTS) + 1)
     s, g, h, ratio = ndt_score(grids, np.empty((0, 2)), Pose2D())
     assert s == 0.0 and ratio == 0.0
 
@@ -260,16 +264,19 @@ def test_score_only_equals_full_evaluation():
     for trial in range(30):
         cloud, markers = random_scene(rng)
         grids = build_grids(cloud, DEFAULT_CELL_SIZE)
-        marker_grids = build_marker_layer(markers)
+        two_layers = build_grids([cell_table(cloud, DEFAULT_CELL_SIZE),
+                                  marker_table(markers, DEFAULT_SYNTH_RADIUS,
+                                               DEFAULT_CELL_SIZE, MARKER_LAYER)],
+                                 DEFAULT_CELL_SIZE)
         ref = markers + rng.normal(0, 0.02, markers.shape)
         pts = cloud[::3]
         regular = (1.0, partial(score_terms, grids, pts))
-        objectives = ((regular,),
-                      (regular, (10.0, partial(score_terms, marker_grids, markers))),
+        layered = partial(score_terms, two_layers, NdtQuery(((1.0, pts), (10.0, markers))))
+        objectives = ((regular,), ((1.0, layered),),
                       (regular, (-500.0, partial(track_terms, markers, ref))))
         for _ in range(3):
             pose = Pose2D(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-0.1, 0.1))
-            for term in (partial(score_terms, grids, pts),
+            for term in (partial(score_terms, grids, pts), layered,
                          partial(track_terms, markers, ref)):
                 full = term(pose)
                 only = term(pose, derivatives=False)
@@ -305,60 +312,59 @@ def test_score_sums_weighted_terms():
     assert not g.any() and not h.any()
 
 
-def per_lattice_lookup(grids, lattice, points):
-    """Row of each point's cell in one lattice's slice of the table, -1 where
-    the cell is empty: the lookup one lattice at a time, kept as the oracle
-    of the half-cell lookup. The cell is the one covering the point's half
+def per_lattice_lookup(grids, layer, lattice, points):
+    """Table row of each point's cell in one (layer, lattice), -1 where the
+    cell is empty: the lookup one lattice at a time, kept as the oracle of
+    the half-cell lookup. The cell is the one covering the point's half
     cell, as cell_table keys it."""
-    grid = grids[lattice]
-    if len(grid.keys) == 0:
+    if len(grids.keys) == 0:
         return np.full(len(points), -1)
     half = np.floor(points / (0.5 * grids.cell_size)).astype(np.int64)
     ij = (half - (2 * np.array(GRID_SHIFTS[lattice])).astype(np.int64)) >> 1
-    keys = ((lattice << _LATTICE_SHIFT) + (ij[:, 0] + _KEY_OFFSET) * _KEY_STRIDE
-            + (ij[:, 1] + _KEY_OFFSET))
-    pos = np.searchsorted(grid.keys, keys).clip(0, len(grid.keys) - 1)
-    return np.where(grid.keys[pos] == keys, pos, -1)
+    keys = ((layer << _LAYER_SHIFT) + (lattice << _LATTICE_SHIFT)
+            + (ij[:, 0] + _KEY_OFFSET) * _KEY_STRIDE + (ij[:, 1] + _KEY_OFFSET))
+    pos = np.searchsorted(grids.keys, keys).clip(0, len(grids.keys) - 1)
+    return np.where(grids.keys[pos] == keys, pos, -1)
 
 
-def check_lookup(grids, points):
-    """grids.lookup against per_lattice_lookup, and each lattice against the
-    geometry: a hit's cell holds the point in its half-open box, and a point
-    clear of every cell edge is hit exactly when its box is a kept cell. Edges
-    count as clear when they are exact in binary, else beyond a rounding
-    margin."""
+def check_lookup(grids, points, layer=0):
+    """grids.lookup of points in one layer against per_lattice_lookup, and
+    each lattice against the geometry: a hit's cell holds the point in its
+    half-open box, and a point clear of every cell edge is hit exactly when
+    its box is a kept cell of its layer. Edges count as clear when they are
+    exact in binary, else beyond a rounding margin."""
     cell = grids.cell_size
-    rows, hit_pts, starts, n_assoc = grids.lookup(points)
-    assert len(starts) == len(GRID_SHIFTS) + 1 and starts[-1] == len(rows)
+    rows, hit_pts, n_assoc = grids.lookup(points, layer << _LAYER_SHIFT)
+    hit_keys = grids.keys[rows]
+    assert np.all(hit_keys >> _LAYER_SHIFT == layer)
+    hit_lattice = (hit_keys >> _LATTICE_SHIFT) - (layer << 2)
+    assert np.all(np.diff(hit_lattice) >= 0)          # lattice-major
     # A cell covers four half cells; the half-cell table never holds more.
-    n_cells = sum(len(grid) for grid in grids)
     assert grids.half_rows.shape == (len(GRID_SHIFTS), len(grids.half_keys))
-    assert len(grids.half_keys) <= 4 * n_cells
+    assert len(grids.half_keys) <= 4 * len(grids.keys)
     exact = cell in (0.5, 1.0)
     margin = 0.0 if exact else 1e-9 * max(1.0, float(np.abs(points).max(initial=0.0)))
     any_hit = np.zeros(len(points), dtype=bool)
-    for lat, grid in enumerate(grids):
-        idx = per_lattice_lookup(grids, lat, points)
-        sel = slice(starts[lat], starts[lat + 1])
+    for lat, shift in enumerate(np.array(GRID_SHIFTS) * cell):
+        idx = per_lattice_lookup(grids, layer, lat, points)
+        sel = hit_lattice == lat
         assert np.array_equal(hit_pts[sel], np.nonzero(idx >= 0)[0])
-        assert np.array_equal(grids.keys[rows[sel]], grid.keys[idx[idx >= 0]])
-        assert np.array_equal(grids.means[rows[sel]], grid.means[idx[idx >= 0]])
-        assert np.array_equal(grids.inv_covs[rows[sel]], grid.inv_covs[idx[idx >= 0]])
+        assert np.array_equal(rows[sel], idx[idx >= 0])
         # Geometry: decode each hit's cell from its key.
-        cell_keys = grids.keys[rows[sel]] - (lat << _LATTICE_SHIFT)
+        part = (layer << _LAYER_SHIFT) + (lat << _LATTICE_SHIFT)
+        cell_keys = hit_keys[sel] - part
         ij = np.column_stack((cell_keys // _KEY_STRIDE - _KEY_OFFSET,
                               cell_keys % _KEY_STRIDE - _KEY_OFFSET))
-        lo = grid.shift + ij * cell
+        lo = shift + ij * cell
         p = points[hit_pts[sel]]
         assert np.all((lo - margin <= p) & (p < lo + cell + margin))
-        box = np.floor((points - grid.shift) / cell)
-        offset = points - grid.shift - box * cell
+        box = np.floor((points - shift) / cell)
+        offset = points - shift - box * cell
         clear = np.all((offset >= margin) & (offset < cell - margin), axis=1) \
             if margin else np.ones(len(points), dtype=bool)
         box = box.astype(np.int64)
-        box_keys = ((lat << _LATTICE_SHIFT) + (box[:, 0] + _KEY_OFFSET) * _KEY_STRIDE
-                    + (box[:, 1] + _KEY_OFFSET))
-        kept = np.isin(box_keys, grid.keys)
+        box_keys = part + (box[:, 0] + _KEY_OFFSET) * _KEY_STRIDE + (box[:, 1] + _KEY_OFFSET)
+        kept = np.isin(box_keys, grids.keys)
         assert np.array_equal((idx >= 0)[clear], kept[clear])
         any_hit |= idx >= 0
     assert n_assoc == int(any_hit.sum())
@@ -379,10 +385,6 @@ def test_fused_lookup_equals_per_lattice_lookup():
     # The per-scan gathers read the table rows in place.
     for table in (grids.keys, grids.means, grids.inv_covs, grids.half_rows):
         assert table.flags["C_CONTIGUOUS"]
-    for grid in grids:
-        assert np.shares_memory(grid.keys, grids.keys)
-        assert np.shares_memory(grid.means, grids.means)
-        assert np.shares_memory(grid.inv_covs, grids.inv_covs)
     any_hit = check_lookup(grids, points)
     assert not any_hit[-len(outside):].any()
     assert any_hit[len(inside):-len(outside)].any()
@@ -427,9 +429,99 @@ def test_every_map_point_finds_its_own_cells(scene):
     # same half cell.
     cloud, cell, _ = scene
     grids = build_grids(np.vstack((cloud, cloud)), cell, min_points=2)
-    rows, hit_pts, starts, n_assoc = grids.lookup(cloud)
+    rows, hit_pts, n_assoc = grids.lookup(cloud, 0)
     assert n_assoc == len(cloud)
-    assert np.array_equal(np.diff(starts), [len(cloud)] * len(GRID_SHIFTS))
+    lattice = grids.keys[rows] >> _LATTICE_SHIFT
+    assert np.array_equal(np.bincount(lattice, minlength=len(GRID_SHIFTS)),
+                          [len(cloud)] * len(GRID_SHIFTS))
+
+
+FUSED_RTOL = 1e-12
+
+
+@st.composite
+def layered_scenes(draw):
+    """One to three map layers, each with a cloud of noisy clusters, a
+    weight and query points: clouds and queries may be empty, a weight may
+    be 0, and the points of a layer may sit on half-cell edges. The pose is
+    either random or a translation by whole half cells, which keeps points
+    on the edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cell = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 120))
+        centers = rng.uniform(-4.0, 4.0, (2, 2))
+        cloud = centers[rng.integers(0, 2, n)] + rng.normal(0.0, cell, (n, 2))
+        m = draw(st.integers(0, 60))
+        near = cloud[rng.integers(0, n, m)] if n else rng.uniform(-4.0, 4.0, (m, 2))
+        points = near + rng.normal(0.0, 0.3 * cell, (m, 2))
+        if draw(st.booleans()):
+            points = np.round(points / (cell / 2)) * (cell / 2)
+        weight = draw(st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.01, 100.0))
+        layers.append((cloud, weight, points))
+    if draw(st.booleans()):
+        pose = Pose2D(*(rng.integers(-2, 3, 2) * cell / 2), 0.0)
+    else:
+        pose = Pose2D(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-0.2, 0.2))
+    return cell, layers, pose
+
+
+def fused(cell, layers):
+    """The one-table grids of every layer and the query of all of them."""
+    grids = build_grids([cell_table(cloud, cell, layer)
+                         for layer, (cloud, _, _) in enumerate(layers)], cell)
+    return grids, NdtQuery([(weight, points) for _, weight, points in layers])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(scene=layered_scenes())
+def test_fused_evaluation_is_the_weighted_sum_of_layers(scene):
+    # One evaluation over the one-table grids equals the weighted sum of the
+    # one-layer evaluations, up to summation order, with exact counts.
+    cell, layers, pose = scene
+    grids, query = fused(cell, layers)
+    s, g, h, n_assoc, n_pts = score_terms(grids, query, pose)
+    parts = [(w, score_terms(build_grids(cloud, cell), points, pose))
+             for cloud, w, points in layers]
+    assert n_assoc == sum(p[3] for _, p in parts)
+    assert n_pts == sum(p[4] for _, p in parts) == len(query.points)
+    for k, value in enumerate((s, g, h)):
+        expected = sum(w * p[k] for w, p in parts)
+        scale = max(np.abs(expected).max(), sum(w * np.abs(p[k]).max() for w, p in parts))
+        assert np.abs(value - expected).max() <= FUSED_RTOL * scale, k
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(scene=layered_scenes())
+def test_fused_score_only_equals_full(scene):
+    cell, layers, pose = scene
+    grids, query = fused(cell, layers)
+    full = score_terms(grids, query, pose)
+    only = score_terms(grids, query, pose, derivatives=False)
+    assert only[1] is None and only[2] is None
+    assert (only[0], only[3], only[4]) == (full[0], full[3], full[4])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(scene=lookup_scenes(), offset=st.sampled_from([0.0, 1.0, 1e3]))
+def test_points_find_only_the_cells_of_their_own_layer(scene, offset):
+    # A regular cloud, shifted by offset, and a marker cloud in layer 1 with
+    # every occupied cell kept: each marker point hits its cells in all four
+    # lattices as a layer-1 point, and as a layer-0 point only where a
+    # regular cell covers it.
+    markers, cell, _ = scene
+    regular = markers + offset
+    tables = [cell_table(np.vstack((regular, regular)), cell),
+              cell_table(np.vstack((markers, markers)), cell, 1)]
+    grids = build_grids(tables, cell, min_points=2)
+    as_marker = check_lookup(grids, markers, layer=1)
+    assert as_marker.all()
+    as_regular = check_lookup(grids, markers, layer=0)
+    only_regular = build_grids(tables[:1], cell, min_points=2)
+    assert np.array_equal(as_regular, check_lookup(only_regular, markers))
+    if offset == 1e3:
+        assert not as_regular.any()
 
 
 def test_newton_full_derivatives_once_per_accepted_step():

@@ -252,6 +252,7 @@ def test_zero_weight_equals_plain_exactly():
     a = match_tracked(grids, cloud, tracks, tracks, 0.0, initial)
     b = match(grids, cloud, initial)
     assert a.pose == b.pose and a.score == b.score
+    assert a.n_points == b.n_points == len(cloud)   # the track term adds no points
 
 
 def test_disjoint_track_ids_equals_plain_exactly():
