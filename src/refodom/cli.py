@@ -24,8 +24,9 @@ from .detector import DetectorParams, detect, detection_to_line
 from .evaluation import (DEFAULT_FAIL_THRESHOLD, compute_ate, labels_from_world,
                          pr_sweep, threshold_detector)
 from .geometry import Pose2D
-from .odometry import (Odometry, OdometryConfig, read_trajectory,
-                       write_ground_truth, write_track_log, write_trajectory)
+from .odometry import (MODES, Odometry, OdometryConfig, read_trajectory,
+                       write_ground_truth, write_poses, write_track_log,
+                       write_trajectory)
 from .scan import get_sensor, read_scan_log, write_scan_log
 from .simulator import (SimConfig, builtin_trajectory, builtin_worlds,
                         load_world, simulate_trajectory, world_to_json)
@@ -131,9 +132,7 @@ def cmd_odometry(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory(out / "trajectory.txt", outputs)
-    with open(out / "keyframes.txt", "w") as f:
-        for t, pose in keyframes:
-            f.write(f"{t!r} {pose.x!r} {pose.y!r} {pose.theta!r}\n")
+    write_poses(out / "keyframes.txt", keyframes)
     if config.mode == "tracking":
         write_track_log(out / "tracks.txt", odo.track_log)
     _write_manifest(out, "odometry", {
@@ -220,7 +219,6 @@ def cmd_reproduce(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     worlds = args.worlds.split(",") if args.worlds else \
         ["corridor", "corridor_marked", "room"]
-    modes = ["plain", "layer", "tracking"]
     matrix = {}
 
     for world_name in worlds:
@@ -240,7 +238,7 @@ def cmd_reproduce(args) -> int:
         write_ground_truth(wdir / "ground_truth.txt", poses, sensor.frequency)
         reference = read_trajectory(wdir / "ground_truth.txt")
 
-        for mode in modes:
+        for mode in MODES:
             odo = Odometry(OdometryConfig(mode=mode, match_stride=args.stride))
             outputs, _ = odo.run(scans)
             mdir = wdir / mode
@@ -256,11 +254,11 @@ def cmd_reproduce(args) -> int:
         "stride": args.stride, "worlds": worlds, "length": args.length,
     })
     width = max(len(w) for w in worlds)
-    header = " ".join([f"{'world':<{width}}"] + [f"{m:>10}" for m in modes])
+    header = " ".join([f"{'world':<{width}}"] + [f"{m:>10}" for m in MODES])
     print(header)
     for world_name in worlds:
         cells = []
-        for mode in modes:
+        for mode in MODES:
             r = matrix[(world_name, mode)]
             cells.append(f"{'ok' if r.success else 'FAILED':>10}")
         print(" ".join([f"{world_name:<{width}}"] + cells))
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("odometry", help="run lidar odometry over a scan log")
     p.add_argument("--scans", required=True)
-    p.add_argument("--mode", choices=["plain", "layer", "tracking"], default="plain")
+    p.add_argument("--mode", choices=MODES, default="plain")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_odometry)

@@ -187,9 +187,7 @@ def detect(scan: LaserScan, params: DetectorParams | None = None,
     ranges = scan.ranges
     intensities = scan.intensities
     finite = np.isfinite(ranges)
-    bearings = scan.bearings()
-    points = np.column_stack((np.where(finite, ranges, 0.0) * np.cos(bearings),
-                              np.where(finite, ranges, 0.0) * np.sin(bearings)))
+    points = scan.points()
 
     candidate_idx = np.nonzero(
         finite & (intensities >= i_min)

@@ -97,9 +97,10 @@ def _default_max_gap(reference) -> float:
     return 0.5 * float(np.median(np.diff(times)))
 
 
-def align_trajectories(estimate, reference, max_gap: float | None = None) -> Pose2D:
-    """Closed-form rigid transform g minimizing sum ||g * p_est - p_ref||^2
-    over temporally associated pose pairs."""
+def _align(estimate, reference, max_gap):
+    """(g, a, b): the (n, 2) estimate and reference positions of the
+    temporally associated pose pairs, and the closed-form rigid transform g
+    minimizing sum ||g * a_i - b_i||^2."""
     if max_gap is None:
         max_gap = _default_max_gap(reference)
     pairs = associate_by_time(estimate, reference, max_gap)
@@ -115,21 +116,21 @@ def align_trajectories(estimate, reference, max_gap: float | None = None) -> Pos
     c, s = math.cos(theta), math.sin(theta)
     tx = mu_b[0] - (c * mu_a[0] - s * mu_a[1])
     ty = mu_b[1] - (s * mu_a[0] + c * mu_a[1])
-    return Pose2D(tx, ty, theta)
+    return Pose2D(tx, ty, theta), a, b
+
+
+def align_trajectories(estimate, reference, max_gap: float | None = None) -> Pose2D:
+    """Closed-form rigid transform g minimizing sum ||g * p_est - p_ref||^2
+    over temporally associated pose pairs."""
+    return _align(estimate, reference, max_gap)[0]
 
 
 def compute_ate(estimate, reference,
                 fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
                 max_gap: float | None = None) -> TrajectoryReport:
     """Absolute tracking error after optimal rigid alignment."""
-    if max_gap is None:
-        max_gap = _default_max_gap(reference)
-    g = align_trajectories(estimate, reference, max_gap)
-    pairs = associate_by_time(estimate, reference, max_gap)
-    a = np.array([[p.x, p.y] for p, _ in pairs])
-    b = np.array([[p.x, p.y] for _, p in pairs])
-    aligned = transform_points(g, a)
-    errors = np.linalg.norm(aligned - b, axis=1)
+    g, a, b = _align(estimate, reference, max_gap)
+    errors = np.linalg.norm(transform_points(g, a) - b, axis=1)
     rmse = float(np.sqrt(np.mean(errors ** 2)))
     max_error = float(errors.max())
     return TrajectoryReport(rmse, max_error, errors, g,
@@ -142,31 +143,17 @@ def threshold_detector(scan: LaserScan, i_min: float | None = None):
     if i_min is None:
         i_min = scan.spec.i_min
     points, intensities, beam_idx = scan.to_cartesian()
-    hot_positions = [k for k in range(len(points)) if intensities[k] >= i_min]
-    detections = []
-    run: list[int] = []
-
-    def flush():
-        if not run:
-            return
-        seg = points[run]
-        detections.append(MarkerDetection(
-            center=seg.mean(axis=0),
-            normal=np.array([0.0, 0.0]),
-            support_start=int(beam_idx[run[0]]),
-            support_end=int(beam_idx[run[-1]]),
-            incidence_angle=0.0,
-            mean_intensity=float(intensities[run].mean()),
-            has_normal=False,
-        ))
-        run.clear()
-
-    for k in hot_positions:
-        if run and beam_idx[k] != beam_idx[run[-1]] + 1:
-            flush()
-        run.append(k)
-    flush()
-    return detections
+    hot = np.flatnonzero(intensities >= i_min)
+    runs = np.split(hot, np.flatnonzero(np.diff(beam_idx[hot]) > 1) + 1) if len(hot) else []
+    return [MarkerDetection(
+        center=points[run].mean(axis=0),
+        normal=np.array([0.0, 0.0]),
+        support_start=int(beam_idx[run[0]]),
+        support_end=int(beam_idx[run[-1]]),
+        incidence_angle=0.0,
+        mean_intensity=float(intensities[run].mean()),
+        has_normal=False,
+    ) for run in runs]
 
 
 def evaluate_detector(scan_records, labels, grow_margin: float = DEFAULT_GROW_MARGIN,

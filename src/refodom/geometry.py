@@ -1,6 +1,6 @@
 """Planar rigid transforms (SE(2)) and point transformation helpers.
 
-All angles are radians, normalized to (-pi, pi]. Poses are immutable.
+All angles are radians, normalized to (-pi, pi] by Pose2D. Poses are immutable.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ def compose(a: Pose2D, b: Pose2D) -> Pose2D:
     return Pose2D(
         a.x + ca * b.x - sa * b.y,
         a.y + sa * b.x + ca * b.y,
-        wrap_angle(a.theta + b.theta),
+        a.theta + b.theta,
     )
 
 
 def inverse(p: Pose2D) -> Pose2D:
     c, s = math.cos(p.theta), math.sin(p.theta)
-    return Pose2D(-(c * p.x + s * p.y), -(-s * p.x + c * p.y), wrap_angle(-p.theta))
+    return Pose2D(-(c * p.x + s * p.y), -(-s * p.x + c * p.y), -p.theta)
 
 
 def relative(a: Pose2D, b: Pose2D) -> Pose2D:

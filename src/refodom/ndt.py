@@ -20,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import Pose2D, wrap_angle
+from .geometry import Pose2D
 
 GRID_SHIFTS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 MIN_CELL_POINTS = 3
@@ -438,7 +438,7 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
             if alpha * step_norm < opts.convergence_tol:
                 break
             cand = Pose2D(pose.x + alpha * step[0], pose.y + alpha * step[1],
-                          wrap_angle(pose.theta + alpha * step[2]))
+                          pose.theta + alpha * step[2])
             cs, _, _, _ = objective(cand, derivatives=False)
             if cs >= s:
                 accepted = True

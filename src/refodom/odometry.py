@@ -12,6 +12,7 @@ covariance.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -129,6 +130,7 @@ class LocalMap:
         self.config = config
         self.keyframes: list[Keyframe] = []
         self.grids = None           # ndt.NdtGrids, from the first keyframe on
+        self.reference_tracks: dict = {}    # track id -> oldest snapshot position
 
     def __len__(self):
         return len(self.keyframes)
@@ -151,12 +153,12 @@ class LocalMap:
         self.rebuild()
 
     def rebuild(self):
-        """Merge the window's cell tables of every layer into the grids."""
+        """Merge the window's cell tables of every layer into the grids, and
+        its track snapshots into the reference tracks."""
         tables = [t for k in self.keyframes for t in k.tables]
         self.grids = build_grids(tables, self.config.cell_size)
-
-    def reference_tracks(self) -> dict:
-        return merge_reference_tracks(k.tracks_snapshot for k in self.keyframes)
+        self.reference_tracks = merge_reference_tracks(
+            k.tracks_snapshot for k in self.keyframes)
 
 
 class Odometry:
@@ -166,7 +168,7 @@ class Odometry:
         self.config = config or OdometryConfig()
         self.local_map = LocalMap(self.config)
         self.tracker = Tracker(self.config.tracker) if self.config.mode == "tracking" else None
-        self.pose_history: list[Pose2D] = []
+        self.recent_poses: deque[Pose2D] = deque(maxlen=2)  # all _predict reads
         self.last_timestamp = None
         self.last_passing: _ProcessedScan | None = None
         self.keyframe_log: list[tuple[float, Pose2D]] = []
@@ -175,9 +177,9 @@ class Odometry:
     # -- prediction ---------------------------------------------------------
 
     def _predict(self) -> Pose2D:
-        if len(self.pose_history) < 2:
-            return self.pose_history[-1] if self.pose_history else Pose2D()
-        prev, last = self.pose_history[-2], self.pose_history[-1]
+        if len(self.recent_poses) < 2:
+            return self.recent_poses[-1] if self.recent_poses else Pose2D()
+        prev, last = self.recent_poses
         return compose(last, relative(prev, last))
 
     # -- per-scan processing ------------------------------------------------
@@ -230,10 +232,10 @@ class Odometry:
                 ok, _ = self._check(result)
             if not ok:
                 cov = self._covariance(result, inflated=True)
-                self.pose_history.append(initial)
+                self.recent_poses.append(initial)
                 return OdometryOutput(scan.timestamp, initial, is_keyframe, False, cov)
 
-        self.pose_history.append(result.pose)
+        self.recent_poses.append(result.pose)
         self.last_passing = _ProcessedScan(scan.timestamp, result.pose,
                                            regular, marker)
         return OdometryOutput(scan.timestamp, result.pose, is_keyframe, True,
@@ -253,7 +255,7 @@ class Odometry:
             self._log_tracks(timestamp)
         self.last_passing = _ProcessedScan(timestamp, pose, regular, marker)
         self._promote_cached_keyframe()
-        self.pose_history.append(pose)
+        self.recent_poses.append(pose)
         return OdometryOutput(timestamp, pose, True, True, np.eye(3) * 1e-6)
 
     def _assign_tracks(self, centers_sensor, pose):
@@ -273,7 +275,7 @@ class Odometry:
                                  initial, cfg.match)
         if cfg.mode == "tracking":
             return match_tracked(grids, regular, current_tracks,
-                                 self.local_map.reference_tracks(),
+                                 self.local_map.reference_tracks,
                                  cfg.w_tracks, initial, cfg.match)
         return match(grids, regular, initial, cfg.match)
 
@@ -358,13 +360,16 @@ def read_trajectory(path):
     return rows
 
 
+def write_poses(path, timed_poses) -> None:
+    """One line per (timestamp, Pose2D): timestamp x y theta."""
+    with open(path, "w") as f:
+        for t, pose in timed_poses:
+            f.write(f"{t!r} {pose.x!r} {pose.y!r} {pose.theta!r}\n")
+
+
 def write_ground_truth(path, poses, frequency: float) -> None:
     dt = 1.0 / frequency
-    with open(path, "w") as f:
-        for k, pose in enumerate(poses):
-            f.write(" ".join([repr(k * dt), repr(pose.x), repr(pose.y),
-                              repr(pose.theta)]))
-            f.write("\n")
+    write_poses(path, ((k * dt, pose) for k, pose in enumerate(poses)))
 
 
 def write_track_log(path, track_log) -> None:

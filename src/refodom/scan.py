@@ -3,10 +3,13 @@ and the line-oriented scan log format.
 
 Invalid beams are carried as NaN ranges so beam indices stay aligned with the
 raw scan (the marker detector walks beam neighborhoods by index).
+`LaserScan.points()` gives every beam's sensor-frame point (NaN if invalid),
+from beam directions computed once per beam layout.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -64,6 +67,15 @@ def get_sensor(name: str) -> LidarSpec:
         ) from None
 
 
+@functools.lru_cache(maxsize=16)
+def _beam_directions(start_angle: float, resolution: float, n: int) -> np.ndarray:
+    """Read-only (n, 2) unit vectors (cos, sin) of the n beam bearings."""
+    b = start_angle + np.arange(n) * resolution
+    dirs = np.column_stack((np.cos(b), np.sin(b)))
+    dirs.flags.writeable = False
+    return dirs
+
+
 class LaserScan:
     """A single polar scan: per-beam range and intensity.
 
@@ -96,15 +108,16 @@ class LaserScan:
     def bearings(self) -> np.ndarray:
         return self.start_angle + np.arange(len(self.ranges)) * self.spec.angular_resolution
 
+    def points(self) -> np.ndarray:
+        """Sensor-frame point of every beam, (len, 2); NaN for invalid beams."""
+        return self.ranges[:, None] * _beam_directions(
+            self.start_angle, self.spec.angular_resolution, len(self.ranges))
+
     def to_cartesian(self):
         """Return (points (N,2), intensities (N,), beam_indices (N,)) for all
         finite-range beams, in beam-index order."""
-        finite = np.isfinite(self.ranges)
-        idx = np.nonzero(finite)[0]
-        b = self.start_angle + idx * self.spec.angular_resolution
-        r = self.ranges[idx]
-        pts = np.column_stack((r * np.cos(b), r * np.sin(b)))
-        return pts, self.intensities[idx], idx
+        idx = np.flatnonzero(np.isfinite(self.ranges))
+        return self.points().take(idx, axis=0), self.intensities[idx], idx
 
 
 def _nan_to_null(values: np.ndarray) -> list:

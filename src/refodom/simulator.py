@@ -2,10 +2,10 @@
 wall markers.
 
 Per beam the nearest ray/segment intersection gives the range (plus seeded
-Gaussian noise); intensity follows a cosine-incidence, quadratic-falloff
-model scaled by surface reflectivity. Beams whose divergence cone only grazes
-a marker edge get an intensity between the wall and marker levels, which is
-what makes a marker appear two points wider than its geometric angular extent.
+Gaussian noise); intensity is reflectivity * per-sensor scale * cos(incidence)
+/ (1 + 0.05 r^2). Beams whose divergence cone (one angular resolution) only
+grazes a marker edge get an intensity between the wall and marker levels,
+which makes a marker appear two points wider than its angular extent.
 """
 
 from __future__ import annotations
@@ -71,46 +71,16 @@ class World:
 class SimConfig:
     spec: LidarSpec
     range_noise_sigma: float = 0.005
-    intensity_noise_sigma: float = 0.0
-    base_scale: float | None = None     # None: per-sensor default
-    incidence_exponent: float = 1.0
-    range_falloff: float = 0.05         # 1/m^2
-    divergence_halfangle: float | None = None  # None: one angular resolution
-    scan_rate: float | None = None      # Hz; None: sensor frequency
     seed: int = 0
 
     def __post_init__(self):
-        if self.range_noise_sigma < 0 or self.intensity_noise_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
-        if self.scan_rate is not None and self.scan_rate <= 0:
-            raise ValueError("scan_rate must be positive")
-
-    def resolved_base_scale(self) -> float:
-        if self.base_scale is not None:
-            return self.base_scale
-        return _BASE_SCALE_DEFAULTS.get(self.spec.name, 500.0)
-
-    def resolved_divergence(self) -> float:
-        if self.divergence_halfangle is not None:
-            return self.divergence_halfangle
-        return self.spec.angular_resolution
-
-    def resolved_rate(self) -> float:
-        # Scans may be emitted slower than the sensor spins (frame skipping),
-        # which keeps long traverses tractable without changing the optics.
-        if self.scan_rate is not None:
-            return self.scan_rate
-        return self.spec.frequency
+        if self.range_noise_sigma < 0:
+            raise ValueError("range_noise_sigma must be >= 0")
 
 
 # Per-sensor intensity scales chosen so markers clear each sensor's i_min out
 # to 6 m / 60 deg incidence while plain walls stay below it.
 _BASE_SCALE_DEFAULTS = {"lms151": 500.0, "r2000": 250.0, "os32c": 4000.0}
-
-
-def _intensity(reflectivity, base_scale, cos_inc, exponent, falloff, rng_range):
-    return reflectivity * base_scale * np.power(np.abs(cos_inc), exponent) \
-        / (1.0 + falloff * rng_range ** 2)
 
 
 def simulate_scan(world: World, sensor_pose: Pose2D, cfg: SimConfig,
@@ -156,14 +126,12 @@ def simulate_scan(world: World, sensor_pose: Pose2D, cfg: SimConfig,
     t_hit = np.where(hit_mask, t_hit, 1.0)  # placeholder range for missed beams
     s_hit = s_par[beam_ix, hit_seg] * seg_len[hit_seg]   # arclength along segment
     cos_inc = np.abs(np.einsum("ij,ij->i", dirs, n_hat[hit_seg]))
-    base = cfg.resolved_base_scale()
     wall_refl = refl[hit_seg]
 
-    # Marker membership and grazing per beam.
+    # Marker membership and grazing per beam (divergence: one angular resolution).
     beam_refl = wall_refl.copy()
     graze_marker_refl = np.zeros(n)
     grazing = np.zeros(n, dtype=bool)
-    h = cfg.resolved_divergence()
     for m in world.markers:
         on_host = hit_mask & (hit_seg == m.segment)
         lo, hi = m.offset - m.width / 2, m.offset + m.width / 2
@@ -174,23 +142,20 @@ def simulate_scan(world: World, sensor_pose: Pose2D, cfg: SimConfig,
         psi2 = math.atan2(e2[1] - origin[1], e2[0] - origin[0])
         d1 = np.abs((bearings_world - psi1 + math.pi) % (2 * math.pi) - math.pi)
         d2 = np.abs((bearings_world - psi2 + math.pi) % (2 * math.pi) - math.pi)
-        graze = on_host & ~inside & (np.minimum(d1, d2) <= h)
+        graze = on_host & ~inside & (np.minimum(d1, d2) <= spec.angular_resolution)
         grazing |= graze
         graze_marker_refl = np.where(graze, np.maximum(graze_marker_refl, m.reflectivity),
                                      graze_marker_refl)
 
-    i_wall = _intensity(wall_refl, base, cos_inc, cfg.incidence_exponent,
-                        cfg.range_falloff, t_hit)
-    i_surf = _intensity(beam_refl, base, cos_inc, cfg.incidence_exponent,
-                        cfg.range_falloff, t_hit)
-    i_graze_full = _intensity(graze_marker_refl, base, cos_inc,
-                              cfg.incidence_exponent, cfg.range_falloff, t_hit)
+    base = _BASE_SCALE_DEFAULTS.get(spec.name, 500.0)
+    falloff = 1.0 + 0.05 * t_hit ** 2
+    i_wall = wall_refl * base * cos_inc / falloff
+    i_surf = beam_refl * base * cos_inc / falloff
+    i_graze_full = graze_marker_refl * base * cos_inc / falloff
     intensity = np.where(grazing, i_wall + GRAZE_BLEND * (i_graze_full - i_wall), i_surf)
 
     noise = rng.normal(0.0, cfg.range_noise_sigma, n) if cfg.range_noise_sigma > 0 else 0.0
     ranges = np.where(hit_mask, np.maximum(t_hit + noise, 1e-6), np.nan)
-    if cfg.intensity_noise_sigma > 0:
-        intensity = intensity + rng.normal(0.0, cfg.intensity_noise_sigma, n)
     intensities = np.where(hit_mask, np.maximum(intensity, 0.0), 0.0)
 
     return LaserScan(timestamp, start_angle, ranges, intensities, spec)
@@ -224,26 +189,19 @@ def interpolate_waypoints(waypoints, speed: float, frequency: float):
         a, b = wps[i], wps[i + 1]
         dtheta = wrap_angle(b.theta - a.theta)
         poses.append(Pose2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y),
-                            wrap_angle(a.theta + f * dtheta)))
+                            a.theta + f * dtheta))
     return poses
 
 
 def simulate_trajectory(world: World, waypoints, speed: float, cfg: SimConfig):
     """Simulate a traverse: returns (scans, ground_truth_poses), one pair per
     sensor tick, deterministic under a fixed seed."""
-    poses = interpolate_waypoints(waypoints, speed, cfg.resolved_rate())
+    poses = interpolate_waypoints(waypoints, speed, cfg.spec.frequency)
     rng = np.random.default_rng(cfg.seed)
-    dt = 1.0 / cfg.resolved_rate()
+    dt = 1.0 / cfg.spec.frequency
     scans = [simulate_scan(world, pose, cfg, rng=rng, timestamp=k * dt)
              for k, pose in enumerate(poses)]
     return scans, poses
-
-
-def _rect_segments(x0, y0, x1, y1, reflectivity=1.0):
-    return [Segment((x0, y0), (x1, y0), reflectivity),
-            Segment((x1, y0), (x1, y1), reflectivity),
-            Segment((x1, y1), (x0, y1), reflectivity),
-            Segment((x0, y1), (x0, y0), reflectivity)]
 
 
 def _post_segments(cx, cy, radius=0.03, reflectivity=40.0, sides=8):

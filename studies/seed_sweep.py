@@ -54,7 +54,7 @@ def run_seed(mode: str, length: float, seed: int) -> tuple[float, int]:
     cfg = SimConfig(spec=get_sensor(SENSOR), seed=seed)
     scans, poses = simulate_trajectory(builtin_worlds()[WORLD], waypoints, SPEED, cfg)
     outputs, keyframes = Odometry(OdometryConfig(mode=mode, match_stride=MATCH_STRIDE)).run(scans)
-    dt = 1.0 / cfg.resolved_rate()
+    dt = 1.0 / cfg.spec.frequency
     ate = compute_ate([(o.timestamp, o.pose) for o in outputs],
                       [(k * dt, p) for k, p in enumerate(poses)])
     return ate.max_error, len(keyframes)

@@ -58,7 +58,7 @@ def simulate(world_name, seed, waypoints=None):
     wps = waypoints or builtin_trajectory(world_name)
     cfg = SimConfig(spec=get_sensor(SENSOR), seed=seed)
     scans, poses = simulate_trajectory(world, wps, SPEED, cfg)
-    return scans, poses, 1.0 / cfg.resolved_rate()
+    return scans, poses, 1.0 / cfg.spec.frequency
 
 
 # -- 1. corridor degeneracy flips to success with markers ---------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refodom.evaluation import (MarkerLabel, align_trajectories,
                                 associate_by_time, compute_ate,
@@ -133,3 +134,75 @@ def test_pr_sweep_bounds_and_monotone_fp():
     assert fps == sorted(fps, reverse=True)  # higher threshold, fewer FPs
     for p in report.points:
         assert 0.0 <= p.precision <= 1.0 and 0.0 <= p.recall <= 1.0
+
+
+# -- the old code as oracle ---------------------------------------------------
+
+def old_threshold_detector(scan, i_min):
+    """threshold_detector as a loop that closes a run at every beam gap."""
+    points, intensities, beam_idx = scan.to_cartesian()
+    runs, run = [], []
+    for k in range(len(points)):
+        if intensities[k] < i_min:
+            continue
+        if run and beam_idx[k] != beam_idx[run[-1]] + 1:
+            runs.append(run)
+            run = []
+        run.append(k)
+    if run:
+        runs.append(run)
+    return [(points[r].mean(axis=0), int(beam_idx[r[0]]), int(beam_idx[r[-1]]),
+             float(intensities[r].mean())) for r in runs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hot=st.lists(st.booleans(), min_size=1, max_size=80),
+       invalid=st.lists(st.booleans(), min_size=80, max_size=80),
+       seed=st.integers(0, 2**32 - 1), start=st.integers(0, 460))
+def test_threshold_detector_equals_closure_loop(hot, invalid, seed, start):
+    # Runs split at gaps in the beam index, whether a cold or an invalid beam
+    # makes the gap; centres and mean intensities keep every bit.
+    spec = get_sensor("lms151")
+    rng = np.random.default_rng(seed)
+    n = spec.beam_count
+    ranges = rng.uniform(0.5, 15.0, n)
+    intensities = rng.uniform(0.0, 900.0, n)
+    window = slice(start, start + len(hot))
+    intensities[window] = np.where(hot, rng.uniform(1000.0, 3000.0, len(hot)),
+                                   intensities[window])
+    ranges[window] = np.where(invalid[:len(hot)], np.nan, ranges[window])
+    scan = LaserScan(0.0, -spec.fov / 2, ranges, intensities, spec)
+    got = [(d.center, d.support_start, d.support_end, d.mean_intensity)
+           for d in threshold_detector(scan, 1000.0)]
+    want = old_threshold_detector(scan, 1000.0)
+    assert len(got) == len(want)
+    for (c, s, e, m), (c0, s0, e0, m0) in zip(got, want):
+        assert c.tobytes() == c0.tobytes()
+        assert (s, e) == (s0, e0) and m == m0
+
+
+def old_compute_ate(estimate, reference):
+    """compute_ate that associated the trajectories a second time after
+    align_trajectories had done so."""
+    from refodom.evaluation import _default_max_gap
+    from refodom.geometry import transform_points
+    max_gap = _default_max_gap(reference)
+    g = align_trajectories(estimate, reference, max_gap)
+    pairs = associate_by_time(estimate, reference, max_gap)
+    a = np.array([[p.x, p.y] for p, _ in pairs])
+    b = np.array([[p.x, p.y] for _, p in pairs])
+    errors = np.linalg.norm(transform_points(g, a) - b, axis=1)
+    return g, errors
+
+
+def test_compute_ate_equals_double_association():
+    rng = np.random.default_rng(11)
+    ref = straight_trajectory()
+    est = [(t + rng.uniform(-0.004, 0.004),
+            compose(Pose2D(1.0, -0.5, 0.3),
+                    Pose2D(p.x + rng.normal(0, 0.02), p.y + rng.normal(0, 0.02), p.theta)))
+           for t, p in ref[5:]]
+    report = compute_ate(est, ref)
+    g, errors = old_compute_ate(est, ref)
+    assert report.aligned_transform == g
+    assert report.per_pose_errors.tobytes() == errors.tobytes()

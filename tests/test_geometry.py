@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import (IDENTITY, Pose2D, compose, inverse, relative,
                               transform_point, transform_points, wrap_angle)
@@ -94,3 +95,52 @@ def test_pose_is_immutable():
     p = Pose2D(1, 2, 3)
     with pytest.raises(AttributeError):
         p.x = 5.0
+
+
+# -- group laws over random poses ---------------------------------------------
+
+def old_compose(a, b):
+    """compose before Pose2D took over the wrapping: wrapped twice."""
+    ca, sa = math.cos(a.theta), math.sin(a.theta)
+    return Pose2D(a.x + ca * b.x - sa * b.y, a.y + sa * b.x + ca * b.y,
+                  wrap_angle(a.theta + b.theta))
+
+
+def old_inverse(p):
+    c, s = math.cos(p.theta), math.sin(p.theta)
+    return Pose2D(-(c * p.x + s * p.y), -(-s * p.x + c * p.y), wrap_angle(-p.theta))
+
+
+coords = st.floats(-1e3, 1e3)
+angles = st.one_of(st.floats(-20.0, 20.0),
+                   st.sampled_from([math.pi, -math.pi, 0.0, -0.0, math.tau,
+                                    math.nextafter(math.pi, 4.0),
+                                    math.nextafter(-math.pi, -4.0)]))
+poses = st.builds(Pose2D, coords, coords, angles)
+
+
+def same_bits(a, b):
+    return (a.x, a.y, a.theta) == (b.x, b.y, b.theta) and \
+        math.copysign(1.0, a.theta) == math.copysign(1.0, b.theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=poses, b=poses, c=poses)
+def test_pose_group_laws(a, b, c):
+    for p in (a, b, c, compose(a, b), inverse(a)):
+        assert -math.pi < p.theta <= math.pi
+    assert_pose_close(compose(a, IDENTITY), a, tol=1e-9)
+    assert_pose_close(compose(IDENTITY, a), a, tol=1e-9)
+    assert_pose_close(compose(a, inverse(a)), IDENTITY, tol=1e-9)
+    assert_pose_close(compose(inverse(a), a), IDENTITY, tol=1e-9)
+    assert_pose_close(compose(compose(a, b), c), compose(a, compose(b, c)), tol=1e-9)
+    # Wrapping is idempotent, so dropping the callers' own wrap left every bit.
+    assert same_bits(compose(a, b), old_compose(a, b))
+    assert same_bits(inverse(a), old_inverse(a))
+
+
+@given(theta=angles)
+def test_wrap_angle_is_idempotent(theta):
+    w = wrap_angle(theta)
+    assert -math.pi < w <= math.pi
+    assert wrap_angle(w) == w and Pose2D(0.0, 0.0, w).theta == w

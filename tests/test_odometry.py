@@ -6,11 +6,12 @@ import pytest
 from refodom.evaluation import compute_ate
 from refodom.geometry import Pose2D, compose, relative
 from refodom.odometry import (KeyframeCriteria, Odometry, OdometryConfig,
-                              read_trajectory, write_ground_truth,
+                              read_trajectory, write_ground_truth, write_poses,
                               write_trajectory)
 from refodom.scan import LaserScan, get_sensor
 from refodom.simulator import (SimConfig, builtin_trajectory, builtin_worlds,
                                simulate_scan, simulate_trajectory)
+from refodom.tracking import merge_reference_tracks
 
 
 def room_scans(x1=6.0, seed=0, mode_sensor="lms151", noise=0.005):
@@ -127,6 +128,29 @@ def test_tracking_mode_builds_tracks():
     assert odo.track_log
 
 
+def test_state_follows_every_scan_and_map_change():
+    # The reference tracks are merged at each map change and read at every
+    # match; the prediction needs only the last two emitted poses.
+    world = builtin_worlds()["corridor_marked"]
+    cfg = SimConfig(spec=get_sensor("r2000"), seed=0)
+    scans, _ = simulate_trajectory(world, [Pose2D(0.0, 1.5, 0.0), Pose2D(2.5, 1.5, 0.0)],
+                                   2.0, cfg)
+    # A two-keyframe window, so that evictions change the oldest snapshots.
+    odo = Odometry(OdometryConfig(mode="tracking", match_stride=8, n_keyframes=2))
+    outputs = []
+    for scan in scans:
+        outputs.append(odo.process_scan(scan))
+        merged = merge_reference_tracks(k.tracks_snapshot for k in odo.local_map.keyframes)
+        cached = odo.local_map.reference_tracks
+        assert cached.keys() == merged.keys()
+        assert all(np.array_equal(cached[i], merged[i]) for i in merged)
+        assert len(odo.recent_poses) <= 2
+        if len(outputs) >= 2:
+            prev, last = outputs[-2].pose, outputs[-1].pose
+            assert odo._predict() == compose(last, relative(prev, last))
+    assert len(odo.keyframe_log) >= 3 and odo.local_map.reference_tracks
+
+
 def test_tracking_start_up_holds_corridor_seed_12():
     # At this seed the first scans lag the motion along the corridor, which
     # leaves x free; tracks must pull from their first re-observation, or the
@@ -136,7 +160,7 @@ def test_tracking_start_up_holds_corridor_seed_12():
     cfg = SimConfig(spec=get_sensor("r2000"), seed=12)
     scans, poses = simulate_trajectory(builtin_worlds()["corridor_marked"], wps, 2.0, cfg)
     outputs, _ = Odometry(OdometryConfig(mode="tracking", match_stride=8)).run(scans)
-    dt = 1.0 / cfg.resolved_rate()
+    dt = 1.0 / cfg.spec.frequency
     report = compute_ate([(o.timestamp, o.pose) for o in outputs],
                          [(k * dt, p) for k, p in enumerate(poses)])
     assert report.max_error < 0.1
@@ -188,6 +212,19 @@ def test_ground_truth_file(tmp_path):
     back = read_trajectory(path)
     assert back[2][0] == pytest.approx(0.04)
     assert back[4][1] == poses[4]
+
+
+def test_pose_files_share_one_format(tmp_path):
+    # Ground truth and keyframes are both 'timestamp x y theta' lines of reprs.
+    poses = [Pose2D(0.1 * k, -0.3 * k, 0.7 * k) for k in range(7)]
+    write_ground_truth(tmp_path / "gt.txt", poses, 50.0)
+    assert (tmp_path / "gt.txt").read_text() == "".join(
+        " ".join([repr(k * 0.02), repr(p.x), repr(p.y), repr(p.theta)]) + "\n"
+        for k, p in enumerate(poses))
+    timed = [(0.02 * k + 1.0, p) for k, p in enumerate(poses)]
+    write_poses(tmp_path / "kf.txt", timed)
+    assert (tmp_path / "kf.txt").read_text() == "".join(
+        f"{t!r} {p.x!r} {p.y!r} {p.theta!r}\n" for t, p in timed)
 
 
 def test_read_trajectory_malformed(tmp_path):

@@ -1,8 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refodom.scan import (LaserScan, LidarSpec, SENSOR_PRESETS, get_sensor,
                           read_scan_log, scan_from_json, scan_to_json,
@@ -87,6 +90,54 @@ def test_to_cartesian_skips_invalid_beams():
                                     2.0 * math.sin(bearing)], abs=1e-12)
 
 
+def old_to_cartesian_points(scan):
+    """The per-call trig conversion that points() replaced."""
+    idx = np.nonzero(np.isfinite(scan.ranges))[0]
+    b = scan.start_angle + idx * scan.spec.angular_resolution
+    r = scan.ranges[idx]
+    return np.column_stack((r * np.cos(b), r * np.sin(b))), idx
+
+
+def old_detector_points(scan):
+    """The detector's own trig conversion that points() replaced: every beam,
+    0 for invalid ones."""
+    finite = np.isfinite(scan.ranges)
+    bearings = scan.start_angle + np.arange(len(scan)) * scan.spec.angular_resolution
+    r = np.where(finite, scan.ranges, 0.0)
+    return np.column_stack((r * np.cos(bearings), r * np.sin(bearings)))
+
+
+@pytest.mark.parametrize("sensor", ["lms151", "r2000"])
+@pytest.mark.parametrize("start", [None, 0.7, -3.0])
+def test_points_equal_trig_formula_bit_for_bit(sensor, start):
+    spec = get_sensor(sensor)
+    scan = make_scan(spec)
+    if start is not None:
+        scan = LaserScan(0.0, start, scan.ranges, scan.intensities, spec)
+    finite = np.isfinite(scan.ranges)
+    assert not finite.all()
+    points = scan.points()
+    assert points.shape == (len(scan), 2)
+    assert np.isnan(points[~finite]).all()
+    assert points[finite].tobytes() == old_detector_points(scan)[finite].tobytes()
+    pts, inten, idx = scan.to_cartesian()
+    old_pts, old_idx = old_to_cartesian_points(scan)
+    assert np.array_equal(idx, old_idx)
+    assert pts.tobytes() == old_pts.tobytes()
+    assert inten.tobytes() == scan.intensities[old_idx].tobytes()
+
+
+def test_points_are_a_fresh_array_per_call():
+    # The beam directions are shared by every scan of a layout; writing into
+    # one call's result must not reach them.
+    scan = make_scan()
+    first = scan.points()
+    expected = first.copy()
+    first[:] = 0.0
+    assert scan.points().tobytes() == expected.tobytes()
+    assert make_scan(timestamp=1.0).points().tobytes() == expected.tobytes()
+
+
 def test_json_roundtrip_bit_exact():
     scan = make_scan()
     back = scan_from_json(scan_to_json(scan))
@@ -147,3 +198,40 @@ def test_scan_log_skips_blank_lines(tmp_path):
     path = tmp_path / "scans.jsonl"
     path.write_text(scan_to_json(make_scan()) + "\n\n")
     assert len(read_scan_log(path)) == 1
+
+
+CUSTOM_SPEC = LidarSpec("custom", 25.0, math.radians(180), math.radians(1.0),
+                        500.0, 2, 10.0)
+SPECIAL_RANGES = [math.nan, 0.0, -0.0, 5e-324, 1e-6, 29.999999999999996, 1e300]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from([get_sensor("lms151"), CUSTOM_SPEC]),
+       seed=st.integers(0, 2**32 - 1),
+       special_fraction=st.floats(0.0, 1.0),
+       timestamp=st.floats(0.0, 1e6, allow_nan=False),
+       start_angle=st.floats(-math.pi, math.pi))
+def test_scan_log_round_trip_is_bit_exact(spec, seed, special_fraction, timestamp,
+                                          start_angle):
+    # NaN and zero ranges, subnormals and arbitrary float bits survive the
+    # log, for a preset and for an embedded custom sensor.
+    rng = np.random.default_rng(seed)
+    n = spec.beam_count
+    ranges = rng.uniform(0.0, 30.0, n)
+    special = rng.random(n) < special_fraction
+    ranges[special] = rng.choice(SPECIAL_RANGES, int(special.sum()))
+    intensities = rng.uniform(0.0, 5000.0, n)
+    intensities[np.isnan(ranges)] = 0.0
+    intensities[rng.random(n) < special_fraction / 4] = math.nan
+    scans = [LaserScan(timestamp + k, start_angle, ranges[::-1] if k else ranges,
+                       intensities, spec) for k in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scans.jsonl"
+        write_scan_log(path, scans)
+        back = read_scan_log(path)
+    assert len(back) == len(scans)
+    for a, b in zip(scans, back):
+        assert b.spec == a.spec
+        assert b.timestamp == a.timestamp and b.start_angle == a.start_angle
+        assert b.ranges.tobytes() == a.ranges.tobytes()
+        assert b.intensities.tobytes() == a.intensities.tobytes()

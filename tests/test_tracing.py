@@ -1,7 +1,9 @@
 """The benchmark's outside-in tracer, perfbench/tracing.py, against the
 package: every function it patches exists, a traced run records exactly one
-Newton ascent per match, one score_terms call per objective evaluation and
-no match inside another, and uninstall() puts every original back. The tracer is loaded from its file, read-only."""
+Newton ascent per match, one score_terms call per objective evaluation, one
+reference-track merge per map rebuild and no match inside another, and
+uninstall() puts every original back. The tracer is loaded from its file,
+read-only."""
 
 import collections
 import importlib
@@ -125,5 +127,7 @@ def test_tracer_patches_and_restores_the_package(tracing, scans):
             assert spans[parent][1] == tracing.OBJECTIVE
     # One NDT term per objective, whatever the mode.
     assert calls[tracing.SCORE_TERMS] == calls[tracing.OBJECTIVE] > calls[tracing.NEWTON]
+    # The reference tracks are merged once per map change, not once per match.
+    assert calls[tracing.MERGE] == calls[tracing.REBUILD] > 0
     assert tracer.counts["ndt.cells"] > 0
     assert tracer.counts["tracking.shared_tracks"] > 0
