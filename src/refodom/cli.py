@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,18 @@ def _resolve_sensor(name: str):
         raise UsageError(str(exc)) from None
 
 
+def _check_positive(args, *names) -> None:
+    """UsageError unless each named option is unset or positive and finite."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not (0 < value < math.inf):
+            raise UsageError(f"--{name} must be positive and finite")
+
+
 def cmd_simulate(args) -> int:
+    _check_positive(args, "speed")
+    if not (0 <= args.noise < math.inf):
+        raise UsageError("--noise must be finite and >= 0")
     sensor = _resolve_sensor(args.sensor)
     try:
         world = load_world(args.world)
@@ -137,7 +149,7 @@ def cmd_odometry(args) -> int:
         write_track_log(out / "tracks.txt", odo.track_log)
     _write_manifest(out, "odometry", {
         "scans": str(args.scans), "mode": args.mode,
-        "config": config.to_dict(),
+        "config": asdict(config),
     })
     print(f"wrote {len(outputs)} poses to {out / 'trajectory.txt'} "
           f"({len(keyframes)} keyframes)")
@@ -198,9 +210,8 @@ def cmd_pr(args) -> int:
     else:
         detector_fn = threshold_detector
 
-    report = pr_sweep(records, labels, detector_fn, thresholds)
     lines = ["threshold precision recall tp fp fn"]
-    for p in report.points:
+    for p in pr_sweep(records, labels, detector_fn, thresholds):
         lines.append(f"{float(p.threshold)!r} {float(p.precision)!r} "
                      f"{float(p.recall)!r} {p.tp} {p.fp} {p.fn}")
     text = "\n".join(lines) + "\n"
@@ -214,6 +225,7 @@ def cmd_pr(args) -> int:
 def cmd_reproduce(args) -> int:
     """Simulate each built-in world, run all three odometry modes, evaluate,
     and print a success matrix."""
+    _check_positive(args, "speed", "length")
     sensor = _resolve_sensor(args.sensor)
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)

@@ -62,7 +62,6 @@ class MarkerDetection:
     support_end: int            # last beam index on the marker (inclusive)
     incidence_angle: float      # radians
     mean_intensity: float
-    has_normal: bool = True
 
     @property
     def point_count(self) -> int:
@@ -255,7 +254,7 @@ def _merge_duplicates(detections, merge_dist):
 
 def detection_to_line(timestamp: float, det: MarkerDetection) -> str:
     """Structured-text record for the CLI detect command."""
-    normal_angle = math.atan2(det.normal[1], det.normal[0]) if det.has_normal else math.nan
+    normal_angle = math.atan2(det.normal[1], det.normal[0])
     return " ".join([
         repr(float(timestamp)),
         repr(float(det.center[0])),

@@ -19,7 +19,7 @@ from .geometry import Pose2D, transform_points
 from .scan import LaserScan
 
 DEFAULT_FAIL_THRESHOLD = 1.0  # m
-DEFAULT_GROW_MARGIN = 0.10    # m
+GROW_MARGIN = 0.10            # m, label boxes grow by this before matching
 
 
 @dataclass
@@ -72,11 +72,6 @@ class PRPoint:
     tp: int
     fp: int
     fn: int
-
-
-@dataclass
-class PRReport:
-    points: list
 
 
 def associate_by_time(estimate, reference, max_gap: float):
@@ -152,12 +147,10 @@ def threshold_detector(scan: LaserScan, i_min: float | None = None):
         support_end=int(beam_idx[run[-1]]),
         incidence_angle=0.0,
         mean_intensity=float(intensities[run].mean()),
-        has_normal=False,
     ) for run in runs]
 
 
-def evaluate_detector(scan_records, labels, grow_margin: float = DEFAULT_GROW_MARGIN,
-                      threshold: float = 0.0,
+def evaluate_detector(scan_records, labels, threshold: float = 0.0,
                       fn_max_range: float | None = None,
                       fn_max_incidence: float | None = None) -> PRPoint:
     """Precision/recall of per-scan detections against grown label boxes.
@@ -169,7 +162,7 @@ def evaluate_detector(scan_records, labels, grow_margin: float = DEFAULT_GROW_MA
     range / incidence so recall is measured only where detection is feasible.
     Recall is per (scan, box): detected boxes / visible boxes.
     """
-    grown = [lbl.grown(grow_margin) for lbl in labels]
+    grown = [lbl.grown(GROW_MARGIN) for lbl in labels]
     tp = fp = fn = 0
     detected_boxes = 0
     for scan, pose, detections in scan_records:
@@ -210,17 +203,17 @@ def evaluate_detector(scan_records, labels, grow_margin: float = DEFAULT_GROW_MA
 
 
 def pr_sweep(scans_with_poses, labels, detector_fn, thresholds,
-             grow_margin: float = DEFAULT_GROW_MARGIN,
              fn_max_range: float | None = None,
-             fn_max_incidence: float | None = None) -> PRReport:
-    """Sweep an intensity threshold; detector_fn(scan, i_min) -> detections."""
+             fn_max_incidence: float | None = None) -> list[PRPoint]:
+    """Sweep an intensity threshold; detector_fn(scan, i_min) -> detections.
+    Returns one PRPoint per threshold, in sweep order."""
     points = []
     for thr in thresholds:
         records = ((scan, pose, detector_fn(scan, thr))
                    for scan, pose in scans_with_poses)
-        points.append(evaluate_detector(records, labels, grow_margin, thr,
+        points.append(evaluate_detector(records, labels, thr,
                                         fn_max_range, fn_max_incidence))
-    return PRReport(points)
+    return points
 
 
 def labels_from_world(world, pad: float = 0.02):

@@ -410,8 +410,9 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
     The step is halved until the score is non-decreasing; the ascent has
     converged when the halvings reach a step shorter than convergence_tol,
     which is never tried, or all max_halvings + 1 trials fail. Trials are
-    score-only; full derivatives come at the initial and accepted poses. The
-    best pose seen is returned.
+    score-only; full derivatives come at the initial and accepted poses.
+    Scores never decrease, so the last accepted pose is the best one seen:
+    its pose, score, Hessian and ratio are returned.
     """
     if opts is None:
         opts = MatchOptions()
@@ -419,7 +420,6 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
     s, g, h, ratio = objective(pose)
     if ratio == 0.0:
         return MatchResult(initial, s, 0, False, h, 0.0)
-    best_pose, best_score, best_h, best_ratio = pose, s, h, ratio
     converged = False
     iterations = 0
 
@@ -450,11 +450,8 @@ def newton_ascent(objective, initial: Pose2D, opts: MatchOptions | None = None) 
 
         pose = cand
         s, g, h, ratio = objective(pose)
-        if s >= best_score:
-            best_pose, best_score, best_h, best_ratio = pose, s, h, ratio
 
-    return MatchResult(best_pose, best_score, iterations, converged,
-                       best_h, best_ratio)
+    return MatchResult(pose, s, iterations, converged, h, ratio)
 
 
 def ascend(grids: NdtGrids, query: NdtQuery, initial: Pose2D,

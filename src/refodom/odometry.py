@@ -4,16 +4,17 @@ The local map is a bounded FIFO of keyframes whose merged NDT grids are the
 matching target. Markers enter the objective as a second, weighted term:
 either a semantic NDT layer ("layer" mode) or the alignment of persistent
 tracks ("tracking" mode). Keyframes are promoted when the match quality /
-overlap / motion checks fail, after which the current scan is re-matched; if
-that also fails, the constant-velocity prediction is emitted with inflated
-covariance.
+overlap / motion checks fail, after which the current scan is re-matched
+against the grown map with the same arguments: in tracking mode, the scan's
+one track assignment, made at the prediction. If that also fails, the
+constant-velocity prediction is emitted with inflated covariance.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,9 +68,6 @@ class OdometryConfig:
                      "covariance_inflation"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, rec: dict) -> "OdometryConfig":
@@ -225,9 +223,6 @@ class Odometry:
         if not ok:
             is_keyframe = self._promote_cached_keyframe()
             if is_keyframe:
-                if cfg.mode == "tracking":
-                    # The tracker changed; re-derive the assigned tracks in view.
-                    _, current_tracks = self._assign_tracks(centers, result.pose)
                 result = self._match(reg_match, marker, current_tracks, initial)
                 ok, _ = self._check(result)
             if not ok:
@@ -303,8 +298,6 @@ class Odometry:
         """Enter the last scan that passed the checks into the map, unless it
         is already the newest keyframe."""
         cached = self.last_passing
-        if cached is None:
-            return False
         keyframes = self.local_map.keyframes
         if keyframes and keyframes[-1].timestamp == cached.timestamp:
             return False  # already in the map; nothing new to add

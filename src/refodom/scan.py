@@ -4,7 +4,9 @@ and the line-oriented scan log format.
 Invalid beams are carried as NaN ranges so beam indices stay aligned with the
 raw scan (the marker detector walks beam neighborhoods by index).
 `LaserScan.points()` gives every beam's sensor-frame point (NaN if invalid),
-from beam directions computed once per beam layout.
+from beam directions computed once per beam layout. The scan log writes an
+invalid value as JSON null, which LaserScan's float conversion reads back as
+NaN.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+
+from .ndt import check_integers
 
 
 @dataclass(frozen=True)
@@ -34,14 +38,12 @@ class LidarSpec:
     max_usable_range: float     # meters
 
     def __post_init__(self):
-        if self.angular_resolution <= 0:
-            raise ValueError("angular_resolution must be positive")
+        for name in ("frequency", "angular_resolution", "i_min", "max_usable_range"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
         if not (0 < self.fov <= 2 * math.pi + 1e-12):
             raise ValueError("fov must be in (0, 2*pi]")
-        if self.i_min <= 0:
-            raise ValueError("i_min must be positive")
-        if self.p_d < 0:
-            raise ValueError("p_d must be >= 0")
+        check_integers(self, 0, "p_d")
 
     @property
     def beam_count(self) -> int:
@@ -105,9 +107,6 @@ class LaserScan:
     def __len__(self):
         return len(self.ranges)
 
-    def bearings(self) -> np.ndarray:
-        return self.start_angle + np.arange(len(self.ranges)) * self.spec.angular_resolution
-
     def points(self) -> np.ndarray:
         """Sensor-frame point of every beam, (len, 2); NaN for invalid beams."""
         return self.ranges[:, None] * _beam_directions(
@@ -122,10 +121,6 @@ class LaserScan:
 
 def _nan_to_null(values: np.ndarray) -> list:
     return [v if math.isfinite(v) else None for v in values.tolist()]
-
-
-def _null_to_nan(values: list) -> list:
-    return [math.nan if v is None else float(v) for v in values]
 
 
 def scan_to_json(scan: LaserScan) -> str:
@@ -144,13 +139,7 @@ def scan_from_json(line: str) -> LaserScan:
     rec = json.loads(line)
     sensor = rec["sensor"]
     spec = get_sensor(sensor) if isinstance(sensor, str) else LidarSpec(**sensor)
-    return LaserScan(
-        rec["t"],
-        rec["start_angle"],
-        _null_to_nan(rec["ranges"]),
-        _null_to_nan(rec["intensities"]),
-        spec,
-    )
+    return LaserScan(rec["t"], rec["start_angle"], rec["ranges"], rec["intensities"], spec)
 
 
 def write_scan_log(path, scans) -> None:
@@ -169,6 +158,6 @@ def read_scan_log(path):
                 continue
             try:
                 scans.append(scan_from_json(line))
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed scan record: {exc}") from exc
     return scans

@@ -74,8 +74,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.range_noise_sigma < 0:
-            raise ValueError("range_noise_sigma must be >= 0")
+        if not (0 <= self.range_noise_sigma < math.inf):
+            raise ValueError("range_noise_sigma must be finite and >= 0")
 
 
 # Per-sensor intensity scales chosen so markers clear each sensor's i_min out
@@ -166,6 +166,8 @@ def interpolate_waypoints(waypoints, speed: float, frequency: float):
 
     A zero-length path yields a one-second stationary sequence.
     """
+    if not (0 < speed < math.inf):
+        raise ValueError("speed must be positive and finite")
     wps = list(waypoints)
     if len(wps) < 2:
         raise ValueError("need at least 2 waypoints")

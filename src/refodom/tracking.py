@@ -20,8 +20,6 @@ from .ndt import MatchOptions, MatchResult, NdtQuery, ascend, check_integers
 # associated wall points, which a weight of ~1e2 does not.
 DEFAULT_W_TRACKS = 2000.0
 
-_FORBIDDEN = 1e12
-
 
 @dataclass(frozen=True)
 class TrackerParams:
@@ -49,37 +47,21 @@ def solve_assignment(det_positions, track_positions, c_d: float, c_t: float,
     """Minimum-cost partial matching of detections to tracks.
 
     Pairwise cost is the squared distance; unmatched detections/tracks cost
-    c_d / c_t each; pairs farther apart than the gate are forbidden. Returns
-    (assignments as a list of (det_index, track_index), total cost).
+    c_d / c_t each; pairs farther apart than the gate are forbidden. Solved
+    as one rectangular problem over the pairs' savings. Returns (assignments
+    as a list of (det_index, track_index), total cost).
     """
     dets = np.asarray(det_positions, dtype=float).reshape(-1, 2)
     trks = np.asarray(track_positions, dtype=float).reshape(-1, 2)
-    nd, nt = len(dets), len(trks)
-    base_cost = nd * c_d + nt * c_t
-    if nd == 0 or nt == 0:
-        return [], base_cost
-
+    total = len(dets) * c_d + len(trks) * c_t
     diff = dets[:, None, :] - trks[None, :, :]
     sqdist = np.einsum("ijk,ijk->ij", diff, diff)
-    gated = sqdist > gate * gate
-
-    # Augmented square matrix: pairing a detection with its private dummy
-    # column (or a track with its private dummy row) means "unassigned".
-    n = nd + nt
-    cost = np.full((n, n), _FORBIDDEN)
-    pair = np.where(gated, _FORBIDDEN, sqdist)
-    cost[:nd, :nt] = pair
-    for i in range(nd):
-        cost[i, nt + i] = c_d
-    for j in range(nt):
-        cost[nd + j, j] = c_t
-    cost[nd:, nt:] = 0.0
-
-    rows, cols = linear_sum_assignment(cost)
+    # Pairing saves sqdist - c_d - c_t over leaving both unassigned; a pair
+    # outside the gate, or one that saves nothing, costs 0 and is dropped.
+    saving = np.where(sqdist > gate * gate, 0.0, np.minimum(sqdist - c_d - c_t, 0.0))
     assignments = []
-    total = base_cost
-    for r, c in zip(rows, cols):
-        if r < nd and c < nt and not gated[r, c]:
+    for r, c in zip(*linear_sum_assignment(saving)):
+        if saving[r, c] < 0.0:
             assignments.append((int(r), int(c)))
             total += float(sqdist[r, c]) - c_d - c_t
     return assignments, total

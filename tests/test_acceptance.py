@@ -112,12 +112,12 @@ def test_detector_separation(capsys):
     proposed = lambda scan, thr: detect(scan, params, i_min=thr)  # noqa: E731
     gating = dict(fn_max_range=6.0, fn_max_incidence=math.radians(60.0))
 
-    at_op = pr_sweep(records, labels, proposed, [1000.0], **gating).points[0]
-    base_op = pr_sweep(records, labels, threshold_detector, [1000.0], **gating).points[0]
+    at_op = pr_sweep(records, labels, proposed, [1000.0], **gating)[0]
+    base_op = pr_sweep(records, labels, threshold_detector, [1000.0], **gating)[0]
 
     sweep = np.linspace(500.0, 10000.0, 20)
-    prop_pts = pr_sweep(records, labels, proposed, sweep, **gating).points
-    base_pts = pr_sweep(records, labels, threshold_detector, sweep, **gating).points
+    prop_pts = pr_sweep(records, labels, proposed, sweep, **gating)
+    base_pts = pr_sweep(records, labels, threshold_detector, sweep, **gating)
     bound_holds = all(p.recall <= b.recall + 1e-12
                       for p, b in zip(prop_pts, base_pts))
 

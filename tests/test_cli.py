@@ -1,8 +1,12 @@
 import json
+import math
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from refodom.cli import main
+from refodom.scan import LaserScan, LidarSpec, scan_to_json
 
 
 def run(argv, capsys):
@@ -105,7 +109,7 @@ def test_odometry_config_file(tmp_path, capsys):
     sim = simulate_room(tmp_path, capsys)
     cfg_file = tmp_path / "cfg.json"
     from refodom.odometry import OdometryConfig
-    cfg_file.write_text(json.dumps(OdometryConfig(n_keyframes=3).to_dict()))
+    cfg_file.write_text(json.dumps(asdict(OdometryConfig(n_keyframes=3))))
     code, _, _ = run(["odometry", "--scans", str(sim / "scans.jsonl"),
                       "--mode", "plain", "--config", str(cfg_file),
                       "--out", str(tmp_path / "odo")], capsys)
@@ -247,3 +251,60 @@ def test_text_outputs_hold_plain_floats(tmp_path, capsys):
     assert [float(row.split()[0]) for row in rows] == [500.0, 1000.0, 1500.0]
     for row in rows:
         assert all(float(v) >= 0.0 for v in row.split())
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["simulate", "--world", "room", "--speed", "0"], "--speed"),
+    (["simulate", "--world", "room", "--speed", "-1"], "--speed"),
+    (["simulate", "--world", "room", "--speed", "inf"], "--speed"),
+    (["simulate", "--world", "room", "--speed", "nan"], "--speed"),
+    (["simulate", "--world", "room", "--noise", "nan"], "--noise"),
+    (["simulate", "--world", "room", "--noise", "-0.5"], "--noise"),
+    (["simulate", "--world", "room", "--noise", "inf"], "--noise"),
+    (["reproduce", "--length", "nan"], "--length"),
+    (["reproduce", "--length", "-1"], "--length"),
+    (["reproduce", "--length", "0"], "--length"),
+    (["reproduce", "--length", "inf"], "--length"),
+    (["reproduce", "--speed", "-2"], "--speed"),
+])
+def test_bad_motion_and_noise_values_are_usage_errors(tmp_path, capsys, argv, needle):
+    code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def custom_scan_record(**sensor):
+    """A one-scan log record of a custom 90-beam sensor, with the given
+    sensor fields replaced."""
+    spec = LidarSpec("custom", 10.0, math.radians(89.0), math.radians(1.0),
+                     1000.0, 1, 10.0)
+    scan = LaserScan(0.0, -spec.fov / 2, np.full(spec.beam_count, 2.0),
+                     np.full(spec.beam_count, 100.0), spec)
+    rec = json.loads(scan_to_json(scan))
+    rec["sensor"].update(sensor)
+    return rec
+
+
+@pytest.mark.parametrize("rec, needle", [
+    (custom_scan_record(angular_resolution=NAN), "angular_resolution must be positive"),
+    (custom_scan_record(i_min=NAN), "i_min must be positive"),
+    (custom_scan_record(p_d=NAN), "p_d must be an integer >= 0"),
+    (custom_scan_record(p_d=1.5), "p_d must be an integer >= 0"),
+    (custom_scan_record(frequency=0.0), "frequency must be positive"),
+    (custom_scan_record(max_usable_range=-1.0), "max_usable_range must be positive"),
+    ({**custom_scan_record(), "ranges": [[1.0], [2.0]]}, "1-D arrays"),
+    ({**custom_scan_record(), "sensor": 5}, "malformed scan record"),
+    ({**custom_scan_record(), "sensor": {"name": "custom", "frequency": 10.0}},
+     "malformed scan record"),
+    ([custom_scan_record()], "malformed scan record"),
+    ({**custom_scan_record(), "ranges": [10 ** 400] * 90}, "too large"),
+])
+def test_malformed_scan_record_is_runtime_error(tmp_path, capsys, rec, needle):
+    scans = tmp_path / "scans.jsonl"
+    scans.write_text(json.dumps(rec) + "\n")
+    code, _, err = run(["detect", "--scans", str(scans)], capsys)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert f"{scans}:1: malformed scan record" in err and needle in err

@@ -105,7 +105,6 @@ def test_threshold_detector_runs_and_groups():
     dets = threshold_detector(scan)
     assert len(dets) == 2
     assert dets[0].support_start == 100 and dets[0].support_end == 103
-    assert not dets[0].has_normal
 
 
 def test_evaluate_detector_counts():
@@ -127,12 +126,12 @@ def test_pr_sweep_bounds_and_monotone_fp():
     pose = Pose2D(4.0, 1.5, math.pi / 2)
     scan = simulate_scan(world, pose, cfg)
     labels = labels_from_world(world)
-    report = pr_sweep([(scan, pose)], labels, threshold_detector,
+    points = pr_sweep([(scan, pose)], labels, threshold_detector,
                       np.linspace(500, 5000, 5))
-    assert len(report.points) == 5
-    fps = [p.fp for p in report.points]
+    assert len(points) == 5
+    fps = [p.fp for p in points]
     assert fps == sorted(fps, reverse=True)  # higher threshold, fewer FPs
-    for p in report.points:
+    for p in points:
         assert 0.0 <= p.precision <= 1.0 and 0.0 <= p.recall <= 1.0
 
 

@@ -541,6 +541,30 @@ def test_newton_full_derivatives_once_per_accepted_step():
         assert calls[False] >= result.iterations
 
 
+def test_newton_returns_its_last_accepted_step():
+    # A concave quadratic peaked at (1.2, -0.9, 0.3), whose ratio varies with
+    # the pose; the 0.5 m cap makes the ascent accept several steps. The
+    # result is the last full evaluation's pose, score, Hessian and ratio.
+    full = []
+
+    def objective(pose, derivatives=True):
+        d = np.array([pose.x - 1.2, pose.y + 0.9, pose.theta - 0.3])
+        s, ratio = 5.0 - float(d @ d), 1.0 / (1.0 + pose.x * pose.x)
+        if not derivatives:
+            return s, None, None, ratio
+        out = (s, -2.0 * d, -2.0 * np.eye(3), ratio)
+        full.append((pose, out))
+        return out
+
+    result = newton_ascent(objective, Pose2D(), MatchOptions())
+    assert result.converged and len(full) == result.iterations >= 4
+    pose, (s, _, h, ratio) = full[-1]
+    assert result.pose == pose and pose != Pose2D()
+    assert result.score == s and result.associated_ratio == ratio
+    assert result.hessian is h
+    assert [out[0] for _, out in full] == sorted(out[0] for _, out in full)
+
+
 def counting_objective(grad, trial_score):
     """An objective with gradient grad and Hessian -I at every pose, scoring
     1 at the origin and trial_score elsewhere. It counts its calls by kind."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from refodom.odometry import (KeyframeCriteria, Odometry, OdometryConfig,
 from refodom.scan import LaserScan, get_sensor
 from refodom.simulator import (SimConfig, builtin_trajectory, builtin_worlds,
                                simulate_scan, simulate_trajectory)
-from refodom.tracking import merge_reference_tracks
+from refodom.tracking import Tracker, merge_reference_tracks
 
 
 def room_scans(x1=6.0, seed=0, mode_sensor="lms151", noise=0.005):
@@ -35,7 +36,7 @@ def test_config_validation():
 
 def test_config_dict_roundtrip():
     cfg = OdometryConfig(mode="layer", n_keyframes=4, match_stride=3)
-    back = OdometryConfig.from_dict(cfg.to_dict())
+    back = OdometryConfig.from_dict(asdict(cfg))
     assert back == cfg
 
 
@@ -149,6 +150,27 @@ def test_state_follows_every_scan_and_map_change():
             prev, last = outputs[-2].pose, outputs[-1].pose
             assert odo._predict() == compose(last, relative(prev, last))
     assert len(odo.keyframe_log) >= 3 and odo.local_map.reference_tracks
+
+
+def test_tracking_assigns_tracks_once_per_scan(monkeypatch):
+    # The bootstrap's Tracker.update assigns once; every later scan assigns
+    # once, at the prediction, and a keyframe rematch reuses that assignment.
+    calls = []
+    assign = Tracker.assign
+
+    def counted(self, det_positions):
+        calls.append(len(det_positions))
+        return assign(self, det_positions)
+
+    monkeypatch.setattr(Tracker, "assign", counted)
+    world = builtin_worlds()["corridor_marked"]
+    cfg = SimConfig(spec=get_sensor("r2000"), seed=0)
+    scans, _ = simulate_trajectory(world, [Pose2D(0.0, 1.5, 0.0), Pose2D(2.5, 1.5, 0.0)],
+                                   2.0, cfg)
+    outputs, _ = Odometry(OdometryConfig(mode="tracking", match_stride=8)).run(scans)
+    assert any(o.is_keyframe for o in outputs[1:])     # at least one rematch
+    assert len(calls) == len(scans)
+    assert any(calls)
 
 
 def test_tracking_start_up_holds_corridor_seed_12():

@@ -23,17 +23,20 @@ def noiseless(sensor="lms151", **kw):
     return SimConfig(spec=get_sensor(sensor), range_noise_sigma=0.0, **kw)
 
 
+def bearings(scan):
+    """Sensor-frame bearing of every beam."""
+    return scan.start_angle + np.arange(len(scan)) * scan.spec.angular_resolution
+
+
 def test_square_room_ranges_analytic():
     # Sensor at the center of a square room: range along each bearing is the
     # distance to the nearest axis-aligned wall.
     cfg = noiseless()
     scan = simulate_scan(square_room(4.0), Pose2D(), cfg)
-    bearings = scan.bearings()
-    for k in range(0, len(bearings), 25):
-        b = bearings[k]
+    for b, r in zip(bearings(scan)[::25], scan.ranges[::25]):
         expected = min(4.0 / abs(math.cos(b)) if abs(math.cos(b)) > 1e-9 else math.inf,
                        4.0 / abs(math.sin(b)) if abs(math.sin(b)) > 1e-9 else math.inf)
-        assert scan.ranges[k] == pytest.approx(expected, abs=1e-9)
+        assert r == pytest.approx(expected, abs=1e-9)
 
 
 def test_beams_beyond_usable_range_are_nan():
@@ -72,8 +75,7 @@ def test_marker_beams_exceed_threshold():
     hot = np.nonzero(scan.intensities > spec.i_min)[0]
     assert len(hot) >= 3
     # the marker straddles x=0, 2 m straight ahead
-    bearings = scan.bearings()[hot]
-    assert np.all(np.abs(bearings) < math.radians(1.5))
+    assert np.all(np.abs(bearings(scan)[hot]) < math.radians(1.5))
 
 
 def test_walls_stay_below_threshold():
@@ -93,7 +95,7 @@ def test_intensity_model_golden(sensor, scale):
     assert len(hit) > 100
     for k in hit[::25]:
         r = scan.ranges[k]
-        cos_inc = abs(math.sin(pose.theta + scan.bearings()[k]))
+        cos_inc = abs(math.sin(pose.theta + bearings(scan)[k]))
         assert scan.intensities[k] == pytest.approx(
             1.0 * scale * cos_inc / (1.0 + 0.05 * r * r), rel=1e-9)
 
@@ -150,6 +152,19 @@ def test_interpolate_waypoints_stationary():
 def test_negative_range_noise_rejected():
     with pytest.raises(ValueError):
         SimConfig(spec=get_sensor("lms151"), range_noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_range_noise_rejected(value):
+    with pytest.raises(ValueError, match="range_noise_sigma"):
+        SimConfig(spec=get_sensor("lms151"), range_noise_sigma=value)
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("end", [Pose2D(10, 0, 0), Pose2D(0, 0, 0)])
+def test_speed_must_be_positive_and_finite(speed, end):
+    with pytest.raises(ValueError, match="speed"):
+        interpolate_waypoints([Pose2D(0, 0, 0), end], speed, 50.0)
 
 
 def test_trajectory_deterministic():

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from refodom.geometry import Pose2D, inverse, transform_points
 from refodom.ndt import DEFAULT_CELL_SIZE, build_grids, match, score, score_terms
@@ -53,6 +54,75 @@ def test_assignment_matches_brute_force():
         assert len({j for _, j in assignments}) == len(assignments)
         for i, j in assignments:
             assert np.sum((dets[i] - trks[j]) ** 2) <= gate * gate + 1e-12
+
+
+def augmented_assignment(dets, trks, c_d, c_t, gate):
+    """The square (nd + nt) formulation: a detection paired with its private
+    dummy column, or a track with its private dummy row, is unassigned, and
+    a gated pair is forbidden by a huge cost."""
+    forbidden = 1e12
+    nd, nt = len(dets), len(trks)
+    base_cost = nd * c_d + nt * c_t
+    if nd == 0 or nt == 0:
+        return [], base_cost
+    diff = dets[:, None, :] - trks[None, :, :]
+    sqdist = np.einsum("ijk,ijk->ij", diff, diff)
+    gated = sqdist > gate * gate
+    n = nd + nt
+    cost = np.full((n, n), forbidden)
+    cost[:nd, :nt] = np.where(gated, forbidden, sqdist)
+    for i in range(nd):
+        cost[i, nt + i] = c_d
+    for j in range(nt):
+        cost[nd + j, j] = c_t
+    cost[nd:, nt:] = 0.0
+    rows, cols = linear_sum_assignment(cost)
+    assignments = []
+    total = base_cost
+    for r, c in zip(rows, cols):
+        if r < nd and c < nt and not gated[r, c]:
+            assignments.append((int(r), int(c)))
+            total += float(sqdist[r, c]) - c_d - c_t
+    return assignments, total
+
+
+def optimal_matchings(dets, trks, c_d, c_t, gate):
+    """Every partial matching inside the gate whose cost is within 1e-12 of
+    the least, as a list of (det_index, track_index) pairs by det index."""
+    nd, nt = len(dets), len(trks)
+    sqdist = ((dets[:, None, :] - trks[None, :, :]) ** 2).sum(axis=2)
+    costs = {}
+    for k in range(min(nd, nt) + 1):
+        for det_subset in itertools.combinations(range(nd), k):
+            for perm in itertools.permutations(range(nt), k):
+                pairs = tuple(zip(det_subset, perm))
+                if all(sqdist[p] <= gate * gate for p in pairs):
+                    costs[pairs] = ((nd - k) * c_d + (nt - k) * c_t
+                                    + sum(sqdist[p] for p in pairs))
+    best = min(costs.values())
+    return [list(p) for p, cost in costs.items() if cost <= best + 1e-12]
+
+
+_points = st.lists(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)), max_size=5)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(dets=_points, trks=_points, c_d=st.floats(1e-4, 0.02), c_t=st.floats(1e-4, 0.02),
+       gate=st.floats(0.01, 0.3))
+def test_assignment_equals_augmented_formulation(dets, trks, c_d, c_t, gate):
+    """Where the optimal matching is unique, the rectangular solver returns
+    the augmented formulation's pairs and, bit for bit, its total. Where
+    several tie, it returns one of them at the same total."""
+    dets = np.array(dets, dtype=float).reshape(-1, 2)
+    trks = np.array(trks, dtype=float).reshape(-1, 2)
+    got = solve_assignment(dets, trks, c_d, c_t, gate)
+    want = augmented_assignment(dets, trks, c_d, c_t, gate)
+    optimal = optimal_matchings(dets, trks, c_d, c_t, gate)
+    assert got[0] in optimal
+    if len(optimal) == 1:
+        assert got == want
+    else:
+        assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
 
 
 def test_assignment_gate_examples():
