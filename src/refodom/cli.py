@@ -25,6 +25,7 @@ from .detector import DetectorParams, detect, detection_to_line
 from .evaluation import (DEFAULT_FAIL_THRESHOLD, compute_ate, labels_from_world,
                          pr_sweep, threshold_detector)
 from .geometry import Pose2D
+from .ndt import check_integers, check_reals
 from .odometry import (MODES, Odometry, OdometryConfig, read_trajectory,
                        write_ground_truth, write_poses, write_track_log,
                        write_trajectory)
@@ -37,13 +38,51 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad argument as a UsageError, so
+    that main prints it as one line and exits 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _rule(parse, check, *args, **kwargs):
+    """An argparse type: the text parsed, then held to a config field rule,
+    as check(obj, *args, name, **kwargs) holds obj's field name."""
+    def convert(text, name="value"):
+        try:
+            field = argparse.Namespace(**{name: parse(text)})
+            check(field, *args, name, **kwargs)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return getattr(field, name)
+    return convert
+
+
+_positive = _rule(float, check_reals)
+_non_negative = _rule(float, check_reals, allow_zero=True)
+_seed = _rule(int, check_integers, 0)
+_at_least_one = _rule(int, check_integers, 1)
+
+
+def _sweep(text: str):
+    """--sweep LO:HI:N: N thresholds from LO to HI."""
+    try:
+        lo, hi, n = text.split(":")
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects LO:HI:N") from None
+    return np.linspace(_non_negative(lo, "LO"), _non_negative(hi, "HI"), _at_least_one(n, "N"))
+
+
+def _sensor(name: str):
+    try:
+        return get_sensor(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _write_manifest(out_dir: Path, command: str, params: dict) -> None:
-    manifest = {
-        "tool": "refodom",
-        "version": __version__,
-        "command": command,
-        "params": params,
-    }
+    manifest = {"tool": "refodom", "version": __version__, "command": command, "params": params}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -53,54 +92,46 @@ def _read_waypoints(path: str):
         parts = line.split()
         if not parts:
             continue
-        if len(parts) < 3:
-            raise UsageError(f"{path}:{lineno}: waypoint needs 'x y theta'")
-        waypoints.append(Pose2D(*(float(v) for v in parts[:3])))
+        try:
+            values = [float(v) for v in parts[:3]]
+        except ValueError:
+            values = []
+        if len(values) < 3 or not all(map(math.isfinite, values)):
+            raise UsageError(f"{path}:{lineno}: waypoint needs finite 'x y theta'")
+        waypoints.append(Pose2D(*values))
     return waypoints
 
 
-def _resolve_sensor(name: str):
+def _resolve_world(name: str):
+    """A built-in world, or else a world file; a name that is neither is a
+    usage error."""
     try:
-        return get_sensor(name)
+        return load_world(name)
+    except FileNotFoundError:
+        raise UsageError(
+            f"unknown world {name!r}; built-ins: {', '.join(sorted(builtin_worlds()))}") from None
+
+
+def _builtin_waypoints(world_name: str):
+    try:
+        return builtin_trajectory(world_name)
     except KeyError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _check_positive(args, *names) -> None:
-    """UsageError unless each named option is unset or positive and finite."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not (0 < value < math.inf):
-            raise UsageError(f"--{name} must be positive and finite")
+        raise UsageError(exc.args[0]) from None
 
 
 def cmd_simulate(args) -> int:
-    _check_positive(args, "speed")
-    if not (0 <= args.noise < math.inf):
-        raise UsageError("--noise must be finite and >= 0")
-    sensor = _resolve_sensor(args.sensor)
-    try:
-        world = load_world(args.world)
-    except FileNotFoundError:
-        raise UsageError(
-            f"unknown world {args.world!r}; built-ins: {', '.join(sorted(builtin_worlds()))}")
-    if args.trajectory:
-        waypoints = _read_waypoints(args.trajectory)
-    else:
-        try:
-            waypoints = builtin_trajectory(world.name)
-        except KeyError as exc:
-            raise UsageError(str(exc))
-
-    cfg = SimConfig(spec=sensor, seed=args.seed, range_noise_sigma=args.noise)
+    world = _resolve_world(args.world)
+    waypoints = (_read_waypoints(args.trajectory) if args.trajectory
+                 else _builtin_waypoints(world.name))
+    cfg = SimConfig(spec=args.sensor, seed=args.seed, range_noise_sigma=args.noise)
     scans, poses = simulate_trajectory(world, waypoints, args.speed, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scan_log(out / "scans.jsonl", scans)
-    write_ground_truth(out / "ground_truth.txt", poses, sensor.frequency)
+    write_ground_truth(out / "ground_truth.txt", poses, args.sensor.frequency)
     (out / "world.json").write_text(world_to_json(world) + "\n")
     _write_manifest(out, "simulate", {
-        "world": args.world, "sensor": sensor.name, "seed": args.seed,
+        "world": args.world, "sensor": args.sensor.name, "seed": args.seed,
         "speed": args.speed, "noise": args.noise,
         "trajectory": args.trajectory or "builtin",
     })
@@ -128,7 +159,9 @@ def _load_config(args) -> OdometryConfig:
         rec = json.loads(Path(args.config).read_text())
         if not isinstance(rec, dict):
             raise ValueError(f"{args.config}: a config must be a JSON object")
-        rec["mode"] = args.mode
+        if rec.setdefault("mode", args.mode) != args.mode:
+            raise ValueError(f"{args.config}: the config's mode {rec['mode']!r} "
+                             f"differs from --mode {args.mode!r}")
         try:
             return OdometryConfig.from_dict(rec)
         except (TypeError, ValueError) as exc:
@@ -159,11 +192,7 @@ def cmd_odometry(args) -> int:
 def cmd_evaluate(args) -> int:
     estimate = read_trajectory(args.estimate)
     reference = read_trajectory(args.reference)
-    try:
-        report = compute_ate(estimate, reference, fail_threshold=args.threshold)
-    except ValueError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return 1
+    report = compute_ate(estimate, reference, fail_threshold=args.threshold)
     print(report.summary())
     if args.out:
         out = Path(args.out)
@@ -175,32 +204,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_sweep(text: str):
-    try:
-        lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError:
-        raise UsageError("--sweep expects LO:HI:N")
-    if n < 1 or hi <= lo:
-        raise UsageError("--sweep expects LO < HI and N >= 1")
-    return np.linspace(lo, hi, n)
-
-
 def cmd_pr(args) -> int:
-    if args.subsample < 1:
-        raise UsageError("--subsample must be >= 1")
-    thresholds = _parse_sweep(args.sweep)
+    world = _resolve_world(args.world)
     scans = read_scan_log(args.scans)
-    try:
-        world = load_world(args.world)
-    except FileNotFoundError:
-        raise UsageError(f"unknown world {args.world!r}")
     labels = labels_from_world(world)
     reference = read_trajectory(args.poses)
     if len(reference) != len(scans):
-        print(f"scan/pose count mismatch: {len(scans)} vs {len(reference)}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"scan/pose count mismatch: {len(scans)} vs {len(reference)}")
     records = [(scan, pose) for scan, (_, pose) in zip(scans, reference)]
     records = records[::args.subsample]
 
@@ -211,7 +221,7 @@ def cmd_pr(args) -> int:
         detector_fn = threshold_detector
 
     lines = ["threshold precision recall tp fp fn"]
-    for p in pr_sweep(records, labels, detector_fn, thresholds):
+    for p in pr_sweep(records, labels, detector_fn, args.sweep):
         lines.append(f"{float(p.threshold)!r} {float(p.precision)!r} "
                      f"{float(p.recall)!r} {p.tp} {p.fp} {p.fn}")
     text = "\n".join(lines) + "\n"
@@ -225,29 +235,25 @@ def cmd_pr(args) -> int:
 def cmd_reproduce(args) -> int:
     """Simulate each built-in world, run all three odometry modes, evaluate,
     and print a success matrix."""
-    _check_positive(args, "speed", "length")
-    sensor = _resolve_sensor(args.sensor)
+    worlds = args.worlds.split(",")
+    traverses = [(_resolve_world(name), _builtin_waypoints(name)) for name in worlds]
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    worlds = args.worlds.split(",") if args.worlds else \
-        ["corridor", "corridor_marked", "room"]
     matrix = {}
 
-    for world_name in worlds:
-        world = load_world(world_name)
-        waypoints = builtin_trajectory(world_name)
+    for world_name, (world, waypoints) in zip(worlds, traverses):
         if args.length is not None:
             # shorten the traverse for quick runs
             a, b = waypoints[0], waypoints[-1]
             total = math.dist((a.x, a.y), (b.x, b.y))
             f = min(1.0, args.length / total) if total > 0 else 1.0
             waypoints = [a, Pose2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), b.theta)]
-        cfg = SimConfig(spec=sensor, seed=args.seed)
+        cfg = SimConfig(spec=args.sensor, seed=args.seed)
         scans, poses = simulate_trajectory(world, waypoints, args.speed, cfg)
         wdir = out_root / world_name
         wdir.mkdir(parents=True, exist_ok=True)
         write_scan_log(wdir / "scans.jsonl", scans)
-        write_ground_truth(wdir / "ground_truth.txt", poses, sensor.frequency)
+        write_ground_truth(wdir / "ground_truth.txt", poses, args.sensor.frequency)
         reference = read_trajectory(wdir / "ground_truth.txt")
 
         for mode in MODES:
@@ -262,17 +268,13 @@ def cmd_reproduce(args) -> int:
             (mdir / "report.txt").write_text(report.summary() + "\n")
 
     _write_manifest(out_root, "reproduce", {
-        "sensor": sensor.name, "seed": args.seed, "speed": args.speed,
+        "sensor": args.sensor.name, "seed": args.seed, "speed": args.speed,
         "stride": args.stride, "worlds": worlds, "length": args.length,
     })
     width = max(len(w) for w in worlds)
-    header = " ".join([f"{'world':<{width}}"] + [f"{m:>10}" for m in MODES])
-    print(header)
+    print(" ".join([f"{'world':<{width}}"] + [f"{m:>10}" for m in MODES]))
     for world_name in worlds:
-        cells = []
-        for mode in MODES:
-            r = matrix[(world_name, mode)]
-            cells.append(f"{'ok' if r.success else 'FAILED':>10}")
+        cells = [f"{'ok' if matrix[world_name, mode].success else 'FAILED':>10}" for mode in MODES]
         print(" ".join([f"{world_name:<{width}}"] + cells))
     for (world_name, mode), r in matrix.items():
         print(f"  {world_name}/{mode}: {r.summary()}")
@@ -280,18 +282,18 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="refodom",
-                                     description=__doc__.splitlines()[0] if __doc__ else None)
+    parser = _Parser(prog="refodom",
+                     description=__doc__.splitlines()[0] if __doc__ else None)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a scan log from a world")
     p.add_argument("--world", required=True)
     p.add_argument("--trajectory", help="waypoint file 'x y theta' per line")
-    p.add_argument("--sensor", default="lms151")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--speed", type=float, default=2.0)
-    p.add_argument("--noise", type=float, default=0.005)
+    p.add_argument("--sensor", type=_sensor, default="lms151")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--speed", type=_positive, default=2.0)
+    p.add_argument("--noise", type=_non_negative, default=0.005)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="ATE between two trajectory files")
     p.add_argument("--estimate", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_FAIL_THRESHOLD)
+    p.add_argument("--threshold", type=_positive, default=DEFAULT_FAIL_THRESHOLD)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -319,21 +321,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True)
     p.add_argument("--poses", required=True, help="ground-truth trajectory file")
     p.add_argument("--detector", choices=["proposed", "threshold"], default="proposed")
-    p.add_argument("--sweep", default="500:10000:20", help="LO:HI:N")
-    p.add_argument("--subsample", type=int, default=1)
+    p.add_argument("--sweep", type=_sweep, default="500:10000:20", help="LO:HI:N")
+    p.add_argument("--subsample", type=_at_least_one, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pr)
 
     p = sub.add_parser("reproduce",
                        help="simulate + all odometry modes + evaluation matrix")
-    p.add_argument("--sensor", default="r2000",
+    p.add_argument("--sensor", type=_sensor, default="r2000",
                    help="dense 360-degree coverage keeps markers continuously visible")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--speed", type=float, default=2.0)
-    p.add_argument("--stride", type=int, default=8,
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--speed", type=_positive, default=2.0)
+    p.add_argument("--stride", type=_at_least_one, default=8,
                    help="match-time subsampling of regular scan points")
-    p.add_argument("--length", type=float, help="shorten traverses to this length (m)")
-    p.add_argument("--worlds", help="comma-separated subset of built-in worlds")
+    p.add_argument("--length", type=_positive, help="shorten traverses to this length (m)")
+    p.add_argument("--worlds", default="corridor,corridor_marked,room",
+                   help="comma-separated subset of built-in worlds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reproduce)
 
@@ -341,16 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

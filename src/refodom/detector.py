@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndt import check_integers
+from .ndt import check_integers, check_reals
 from .scan import LaserScan
 
 # Near-equal intensity jumps (within this relative tolerance of the maximum)
@@ -37,21 +37,16 @@ class DetectorParams:
     duplicate_merge_dist: float = 0.10  # m
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("require 0 < r_min < r_max")
-        if not (self.window > 0 and self.l_min > 0):
-            raise ValueError("window and l_min must be positive")
+        check_reals(self, "r_min", "r_max", "window", "l_min", "fit_error_max",
+                    "marker_width")
+        if not self.r_min < self.r_max:
+            raise ValueError("require r_min < r_max")
         check_integers(self, 3, "p_min")
-        if not (self.fit_error_max > 0):
-            raise ValueError("fit_error_max must be positive")
         if not (0 < self.jump_fraction <= 1):
             raise ValueError("jump_fraction must be in (0, 1]")
-        if not (self.marker_width > 0):
-            raise ValueError("marker_width must be positive")
         if not (0 < self.flat_angle_max < math.pi / 2):
             raise ValueError("flat_angle_max must be in (0, pi/2)")
-        if not (0 <= self.duplicate_merge_dist < math.inf):
-            raise ValueError("duplicate_merge_dist must be finite and non-negative")
+        check_reals(self, "duplicate_merge_dist", allow_zero=True)
 
 
 @dataclass(frozen=True)

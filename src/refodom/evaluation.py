@@ -114,12 +114,6 @@ def _align(estimate, reference, max_gap):
     return Pose2D(tx, ty, theta), a, b
 
 
-def align_trajectories(estimate, reference, max_gap: float | None = None) -> Pose2D:
-    """Closed-form rigid transform g minimizing sum ||g * p_est - p_ref||^2
-    over temporally associated pose pairs."""
-    return _align(estimate, reference, max_gap)[0]
-
-
 def compute_ate(estimate, reference,
                 fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
                 max_gap: float | None = None) -> TrajectoryReport:

@@ -72,6 +72,3 @@ def transform_points(pose: Pose2D, points: np.ndarray) -> np.ndarray:
         return pts.reshape(0, 2)
     return pts @ pose.rotation_matrix().T + pose.translation
 
-
-def transform_point(pose: Pose2D, point) -> np.ndarray:
-    return transform_points(pose, np.asarray(point, dtype=float).reshape(1, 2))[0]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -69,6 +69,17 @@ def check_integers(obj, low: int, *names: str) -> None:
             raise ValueError(f"{name} must be an integer >= {low}")
 
 
+def check_reals(obj, *names: str, allow_zero: bool = False) -> None:
+    """Raise ValueError unless each named field of obj is a finite real
+    number above zero, or at least zero with allow_zero."""
+    for name in names:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, Real)
+                or not (0 <= value if allow_zero else 0 < value) or value == math.inf):
+            rule = "finite and non-negative" if allow_zero else "positive and finite"
+            raise ValueError(f"{name} must be {rule}")
+
+
 @dataclass
 class MatchOptions:
     max_iterations: int = 50
@@ -80,10 +91,8 @@ class MatchOptions:
     def __post_init__(self):
         check_integers(self, 1, "max_iterations")
         check_integers(self, 0, "max_halvings")
-        if not self.convergence_tol >= 0:
-            raise ValueError("convergence_tol must be >= 0")
-        if not (self.max_step_translation > 0 and self.max_step_rotation > 0):
-            raise ValueError("max_step_translation and max_step_rotation must be positive")
+        check_reals(self, "convergence_tol", allow_zero=True)
+        check_reals(self, "max_step_translation", "max_step_rotation")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .geometry import Pose2D, compose, relative, transform_points
 from .layers import (DEFAULT_MARKER_WEIGHT, DEFAULT_SYNTH_RADIUS, MARKER_LAYER,
                      marker_table, match_layered, split_points)
 from .ndt import (DEFAULT_CELL_SIZE, MatchOptions, MatchResult, build_grids,
-                  cell_table, check_integers, match)
+                  cell_table, check_integers, check_reals, match)
 from .scan import LaserScan
 from .tracking import (DEFAULT_W_TRACKS, Tracker, TrackerParams,
                        match_tracked, merge_reference_tracks)
@@ -41,8 +41,7 @@ class KeyframeCriteria:
     def __post_init__(self):
         if not (0 < self.min_overlap <= 1):
             raise ValueError("min_overlap must be in (0, 1]")
-        if not (self.min_score > 0 and self.max_translation > 0 and self.max_rotation > 0):
-            raise ValueError("min_score, max_translation and max_rotation must be positive")
+        check_reals(self, "min_score", "max_translation", "max_rotation")
 
 
 @dataclass
@@ -64,23 +63,23 @@ class OdometryConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         check_integers(self, 1, "n_keyframes", "match_stride")
-        for name in ("cell_size", "marker_weight", "synth_radius", "w_tracks",
-                     "covariance_inflation"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be positive and finite")
+        check_reals(self, "cell_size", "marker_weight", "synth_radius", "w_tracks",
+                    "covariance_inflation")
 
     @classmethod
     def from_dict(cls, rec: dict) -> "OdometryConfig":
         rec = dict(rec)
         for key, sub in (("detector", DetectorParams), ("tracker", TrackerParams),
                          ("criteria", KeyframeCriteria), ("match", MatchOptions)):
-            if key in rec and isinstance(rec[key], dict):
+            if key in rec:
                 rec[key] = _from_fields(sub, rec[key], f"{key}.")
         return _from_fields(cls, rec)
 
 
 def _from_fields(cls, rec: dict, prefix: str = ""):
     """cls(**rec), with a ValueError naming any key that is not a field."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{prefix[:-1]} must be a JSON object")
     unknown = sorted(set(rec) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError("unknown config key(s): "
@@ -310,11 +309,10 @@ class Odometry:
         return True
 
     def _covariance(self, result: MatchResult, inflated: bool = False) -> np.ndarray:
-        A = -result.hessian
-        try:
-            cov = np.linalg.pinv(A, rcond=1e-9, hermitian=True)
-        except np.linalg.LinAlgError:
-            cov = np.eye(3)
+        # (-H)^-1 where -H is positive definite; elsewhere, as when a match
+        # associates nothing and H is zero, the identity claims no certainty.
+        w, V = np.linalg.eigh(-result.hessian)
+        cov = (V / w) @ V.T if w[0] > 0 else np.eye(3)
         if inflated:
             cov = cov * self.config.covariance_inflation
         return cov

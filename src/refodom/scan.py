@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .ndt import check_integers
+from .ndt import check_integers, check_reals
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class LidarSpec:
     max_usable_range: float     # meters
 
     def __post_init__(self):
-        for name in ("frequency", "angular_resolution", "i_min", "max_usable_range"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be positive and finite")
+        check_reals(self, "frequency", "angular_resolution", "i_min", "max_usable_range")
         if not (0 < self.fov <= 2 * math.pi + 1e-12):
             raise ValueError("fov must be in (0, 2*pi]")
         check_integers(self, 0, "p_d")

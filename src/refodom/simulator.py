@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .geometry import Pose2D, wrap_angle
+from .ndt import check_integers, check_reals
 from .scan import LaserScan, LidarSpec
 
 # Fraction of the wall->marker intensity step given to a grazing beam. Kept
@@ -47,7 +49,12 @@ class World:
     markers: tuple = ()
 
     def __post_init__(self):
+        for k, seg in enumerate(self.segments):
+            if not (len(seg.p1) == len(seg.p2) == 2 and 0 < math.dist(seg.p1, seg.p2) < math.inf):
+                raise ValueError(f"segment {k} needs two distinct, finite points (x, y)")
+            check_reals(seg, "reflectivity", allow_zero=True)
         for m in self.markers:
+            check_reals(m, "width", "reflectivity")
             if not 0 <= m.segment < len(self.segments):
                 raise ValueError(f"marker names segment {m.segment}, but the world "
                                  f"has {len(self.segments)} segments")
@@ -74,8 +81,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.range_noise_sigma < math.inf):
-            raise ValueError("range_noise_sigma must be finite and >= 0")
+        check_reals(self, "range_noise_sigma", allow_zero=True)
+        check_integers(self, 0, "seed")
 
 
 # Per-sensor intensity scales chosen so markers clear each sensor's i_min out
@@ -166,8 +173,7 @@ def interpolate_waypoints(waypoints, speed: float, frequency: float):
 
     A zero-length path yields a one-second stationary sequence.
     """
-    if not (0 < speed < math.inf):
-        raise ValueError("speed must be positive and finite")
+    check_reals(SimpleNamespace(speed=speed), "speed")
     wps = list(waypoints)
     if len(wps) < 2:
         raise ValueError("need at least 2 waypoints")

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import Pose2D
-from .ndt import MatchOptions, MatchResult, NdtQuery, ascend, check_integers
+from .ndt import (MatchOptions, MatchResult, NdtQuery, ascend, check_integers,
+                  check_reals)
 
 # Calibrated by sweeping the marked-corridor scenario: the quadratic track
 # pull must dominate the residual along-corridor ripple of a few hundred
@@ -29,8 +30,7 @@ class TrackerParams:
     max_missed: int = 10      # scans a track survives unassigned
 
     def __post_init__(self):
-        if not (self.c_d > 0 and self.c_t > 0 and self.gate > 0):
-            raise ValueError("c_d, c_t and gate must be positive")
+        check_reals(self, "c_d", "c_t", "gate")
         check_integers(self, 1, "max_missed")
 
 

@@ -3,9 +3,12 @@ simulator seed.
 
     python3 studies/seed_sweep.py --mode layer --length 7 --seeds 0:41
     python3 studies/seed_sweep.py --mode tracking --length 14 --seeds 0:31
+    python3 studies/seed_sweep.py --mode tracking --length 8 --turn --seeds 0:3
 
 Each seed simulates the first --length metres of the `corridor_marked`
-traverse with the r2000 sensor at 2 m/s, runs `Odometry` with match_stride 8
+traverse with the r2000 sensor at 2 m/s (with --turn, the heading turns
+steadily from 0 to pi over the stretch: (0, 1.5, 0) -> (8, 1.5, pi) at
+--length 8), runs `Odometry` with match_stride 8
 (as `refodom reproduce` does) and records the max absolute trajectory error
 and the number of keyframes, which does not depend on the hardware. The last
 line of standard output is one JSON object: the arguments, the max ATE and
@@ -46,11 +49,12 @@ def seed_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"expected LO:HI or N, got {text!r}") from None
 
 
-def run_seed(mode: str, length: float, seed: int) -> tuple[float, int]:
+def run_seed(mode: str, length: float, seed: int, turn: bool) -> tuple[float, int]:
     """(max ATE in m, keyframe count) of one seed's run."""
     a, b = builtin_trajectory(WORLD)
     f = min(1.0, length / math.dist((a.x, a.y), (b.x, b.y)))
-    waypoints = [a, Pose2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), b.theta)]
+    theta = math.pi if turn else b.theta
+    waypoints = [a, Pose2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), theta)]
     cfg = SimConfig(spec=get_sensor(SENSOR), seed=seed)
     scans, poses = simulate_trajectory(builtin_worlds()[WORLD], waypoints, SPEED, cfg)
     outputs, keyframes = Odometry(OdometryConfig(mode=mode, match_stride=MATCH_STRIDE)).run(scans)
@@ -67,18 +71,20 @@ def main(argv=None) -> int:
                    help="metres of the 40 m traverse to run")
     p.add_argument("--seeds", type=seed_range, required=True,
                    help="simulator seeds, LO:HI (HI excluded) or one seed N")
+    p.add_argument("--turn", action="store_true",
+                   help="end the traverse at heading pi instead of 0")
     args = p.parse_args(argv)
     if not args.length > 0:
         p.error("--length must be positive")
 
     errors, keyframes = {}, {}
     for seed in args.seeds:
-        errors[seed], keyframes[seed] = run_seed(args.mode, args.length, seed)
+        errors[seed], keyframes[seed] = run_seed(args.mode, args.length, seed, args.turn)
         print(f"seed {seed}: max ATE {errors[seed]:.6f} m, {keyframes[seed]} keyframes",
               file=sys.stderr, flush=True)
     print(json.dumps({
         "world": WORLD, "sensor": SENSOR, "speed": SPEED, "match_stride": MATCH_STRIDE,
-        "mode": args.mode, "length_m": args.length,
+        "mode": args.mode, "length_m": args.length, "turn": args.turn,
         "max_ate_m": {str(s): e for s, e in errors.items()},
         "keyframes": {str(s): n for s, n in keyframes.items()},
         "worst_m": max(errors.values(), default=None),

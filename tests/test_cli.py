@@ -149,6 +149,7 @@ def test_pr_command(tmp_path, capsys):
 
 WALL = {"p1": [0.0, 0.0], "p2": [4.0, 0.0]}
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("rec, needle", [
@@ -157,6 +158,14 @@ NAN = float("nan")
     ({"segments": [WALL], "markers": [{"segment": 0.5, "offset": 1.0}]}, "malformed"),
     ({"segments": [WALL], "markers": [{"segment": 0, "offset": "a"}]}, "malformed"),
     ([WALL], "malformed"),
+    ({"segments": [WALL], "markers": [{"segment": 0, "offset": 1.0, "width": -0.05}]},
+     "width must be positive"),
+    ({"segments": [WALL], "markers": [{"segment": 0, "offset": 1.0, "reflectivity": NAN}]},
+     "reflectivity must be positive"),
+    ({"segments": [{"p1": [NAN, 0.0], "p2": [4.0, 0.0]}]}, "segment 0 needs two distinct"),
+    ({"segments": [{"p1": [1.0, 1.0], "p2": [1.0, 1.0]}]}, "segment 0 needs two distinct"),
+    ({"segments": [{"p1": [0.0, 0.0, 0.0], "p2": [4.0, 0.0, 0.0]}]},
+     "segment 0 needs two distinct"),
 ])
 def test_malformed_world_is_runtime_error(tmp_path, capsys, rec, needle):
     world = tmp_path / "world.json"
@@ -180,17 +189,27 @@ def test_malformed_world_is_runtime_error(tmp_path, capsys, rec, needle):
     ({"marker_weight": NAN}, "cfg.json: marker_weight must be positive"),
     ({"covariance_inflation": NAN}, "cfg.json: covariance_inflation must be positive"),
     ({"cell_size": NAN}, "cfg.json: cell_size must be positive"),
-    ({"tracker": {"gate": NAN}}, "cfg.json: c_d, c_t and gate must be positive"),
-    ({"criteria": {"min_score": NAN}}, "cfg.json: min_score, max_translation"),
-    ({"criteria": {"max_translation": NAN}}, "cfg.json: min_score, max_translation"),
-    ({"detector": {"window": NAN}}, "cfg.json: window and l_min must be positive"),
-    ({"detector": {"l_min": NAN}}, "cfg.json: window and l_min must be positive"),
+    ({"tracker": {"gate": NAN}}, "cfg.json: gate must be positive"),
+    ({"criteria": {"min_score": NAN}}, "cfg.json: min_score must be positive"),
+    ({"criteria": {"max_translation": NAN}}, "cfg.json: max_translation must be positive"),
+    ({"detector": {"window": NAN}}, "cfg.json: window must be positive"),
+    ({"detector": {"l_min": NAN}}, "cfg.json: l_min must be positive"),
     ({"detector": {"p_min": NAN}}, "cfg.json: p_min must be an integer >= 3"),
     ({"detector": {"fit_error_max": NAN}}, "cfg.json: fit_error_max must be positive"),
     ({"detector": {"marker_width": NAN}}, "cfg.json: marker_width must be positive"),
     ({"detector": {"flat_angle_max": NAN}}, "cfg.json: flat_angle_max must be in (0, pi/2)"),
     ({"detector": {"duplicate_merge_dist": NAN}},
      "cfg.json: duplicate_merge_dist must be finite and non-negative"),
+    ({"match": {"convergence_tol": INF}}, "cfg.json: convergence_tol must be finite"),
+    ({"match": {"max_step_translation": INF}}, "cfg.json: max_step_translation must be positive"),
+    ({"match": {"max_step_rotation": INF}}, "cfg.json: max_step_rotation must be positive"),
+    ({"criteria": {"min_score": INF}}, "cfg.json: min_score must be positive and finite"),
+    ({"tracker": {"gate": INF}}, "cfg.json: gate must be positive and finite"),
+    ({"tracker": {"c_d": INF}}, "cfg.json: c_d must be positive and finite"),
+    ({"tracker": {"c_t": INF}}, "cfg.json: c_t must be positive and finite"),
+    ({"detector": {"r_max": INF}}, "cfg.json: r_max must be positive and finite"),
+    ({"mode": "layer"}, "cfg.json: the config's mode 'layer' differs from --mode 'plain'"),
+    ({"detector": 5}, "cfg.json: detector must be a JSON object"),
 ])
 def test_malformed_odometry_config_is_runtime_error(tmp_path, capsys, rec, needle):
     cfg_file = tmp_path / "cfg.json"
@@ -266,6 +285,14 @@ def test_text_outputs_hold_plain_floats(tmp_path, capsys):
     (["reproduce", "--length", "0"], "--length"),
     (["reproduce", "--length", "inf"], "--length"),
     (["reproduce", "--speed", "-2"], "--speed"),
+    (["reproduce", "--stride", "0"], "--stride"),
+    (["reproduce", "--worlds", "nosuch"], "built-ins: corridor, corridor_marked"),
+    (["simulate", "--world", "room", "--seed", "-1"], "--seed"),
+    (["pr", "--scans", "x", "--world", "room", "--poses", "y", "--sweep", "500:nan:3"],
+     "--sweep: HI must be finite"),
+    (["evaluate", "--estimate", "e", "--reference", "r", "--threshold", "nan"], "--threshold"),
+    (["odometry", "--scans", "x", "--mode", "weird"], "invalid choice"),
+    (["simulate", "--speed", "1"], "required: --world"),
 ])
 def test_bad_motion_and_noise_values_are_usage_errors(tmp_path, capsys, argv, needle):
     code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
@@ -308,3 +335,26 @@ def test_malformed_scan_record_is_runtime_error(tmp_path, capsys, rec, needle):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert f"{scans}:1: malformed scan record" in err and needle in err
+
+
+def test_reproduce_world_file_is_usage_error(tmp_path, capsys):
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps({"segments": [WALL]}))
+    code, _, err = run(["reproduce", "--worlds", str(world),
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "no built-in trajectory" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["nan 1.5 0", "0 inf 0", "0 1.5", "a 1.5 0"])
+def test_bad_waypoint_is_usage_error(tmp_path, capsys, line):
+    wp = tmp_path / "wp.txt"
+    wp.write_text(f"0 1.5 0\n{line}\n")
+    code, _, err = run(["simulate", "--world", "room", "--trajectory", str(wp),
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert f"{wp}:2: waypoint" in err
+    assert not (tmp_path / "out").exists()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refodom.evaluation import (MarkerLabel, align_trajectories,
-                                associate_by_time, compute_ate,
+from refodom.evaluation import (MarkerLabel, associate_by_time, compute_ate,
                                 evaluate_detector, labels_from_world, pr_sweep,
                                 threshold_detector)
 from refodom.geometry import Pose2D, compose
@@ -55,7 +54,7 @@ def test_align_recovers_random_transforms():
     for _ in range(10):
         g = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3, 3))
         moved = [(t, compose(g, p)) for t, p in traj]
-        est = align_trajectories(traj, moved)
+        est = compute_ate(traj, moved).aligned_transform
         assert est.x == pytest.approx(g.x, abs=1e-9)
         assert est.y == pytest.approx(g.y, abs=1e-9)
         assert est.theta == pytest.approx(g.theta, abs=1e-9)
@@ -181,12 +180,12 @@ def test_threshold_detector_equals_closure_loop(hot, invalid, seed, start):
 
 
 def old_compute_ate(estimate, reference):
-    """compute_ate that associated the trajectories a second time after
-    align_trajectories had done so."""
-    from refodom.evaluation import _default_max_gap
+    """compute_ate that associated the trajectories a second time after the
+    alignment had done so."""
+    from refodom.evaluation import _align, _default_max_gap
     from refodom.geometry import transform_points
     max_gap = _default_max_gap(reference)
-    g = align_trajectories(estimate, reference, max_gap)
+    g = _align(estimate, reference, max_gap)[0]
     pairs = associate_by_time(estimate, reference, max_gap)
     a = np.array([[p.x, p.y] for p, _ in pairs])
     b = np.array([[p.x, p.y] for _, p in pairs])

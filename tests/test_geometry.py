@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refodom.geometry import (IDENTITY, Pose2D, compose, inverse, relative,
-                              transform_point, transform_points, wrap_angle)
+                              transform_points, wrap_angle)
 
 
 def random_pose(rng):
@@ -87,8 +87,9 @@ def test_transform_points_empty():
 
 
 def test_transform_point_single():
-    p = transform_point(Pose2D(1.0, 0.0, math.pi / 2), [1.0, 0.0])
-    assert p == pytest.approx([1.0, 1.0], abs=1e-12)
+    p = transform_points(Pose2D(1.0, 0.0, math.pi / 2), np.array([[1.0, 0.0]]))
+    assert p.shape == (1, 2)
+    assert p[0] == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_pose_is_immutable():

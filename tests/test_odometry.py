@@ -1,9 +1,10 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
+from refodom.detector import DetectorParams
 from refodom.evaluation import compute_ate
 from refodom.geometry import Pose2D, compose, relative
 from refodom.odometry import (KeyframeCriteria, Odometry, OdometryConfig,
@@ -12,7 +13,8 @@ from refodom.odometry import (KeyframeCriteria, Odometry, OdometryConfig,
 from refodom.scan import LaserScan, get_sensor
 from refodom.simulator import (SimConfig, builtin_trajectory, builtin_worlds,
                                simulate_scan, simulate_trajectory)
-from refodom.tracking import Tracker, merge_reference_tracks
+from refodom.ndt import MatchOptions
+from refodom.tracking import Tracker, TrackerParams, merge_reference_tracks
 
 
 def room_scans(x1=6.0, seed=0, mode_sensor="lms151", noise=0.005):
@@ -32,6 +34,24 @@ def test_config_validation():
         OdometryConfig(match_stride=0)
     with pytest.raises(ValueError):
         KeyframeCriteria(min_overlap=0.0)
+
+
+def test_every_real_config_field_refuses_nan_and_infinities():
+    # Walks the fields, so that a real-valued field added later is held to
+    # the same rule.
+    sensor = get_sensor("r2000")
+    configs = [MatchOptions(), TrackerParams(), KeyframeCriteria(), DetectorParams(),
+               OdometryConfig(), SimConfig(spec=sensor), sensor]
+    checked = 0
+    for config in configs:
+        for f in fields(config):
+            if f.type not in ("float", float):
+                continue
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f.name):
+                    replace(config, **{f.name: value})
+            checked += 1
+    assert checked == 30
 
 
 def test_config_dict_roundtrip():
@@ -212,6 +232,20 @@ def test_covariance_inflated_on_failure():
     base = runs[1.0][-1].covariance_hint
     assert np.abs(base).max() > 0
     assert np.array_equal(failed.covariance_hint, 1e3 * base)
+
+
+def test_covariance_of_a_match_that_associates_nothing():
+    # An all-NaN scan has no points, so its match associates nothing and its
+    # Hessian is zero: the failed scan's covariance is the inflated identity,
+    # not pinv(0) = 0, which would claim certainty.
+    scans, _ = room_scans(x1=2.4)
+    s = scans[1]
+    blank = LaserScan(s.timestamp, s.start_angle, np.full_like(s.ranges, np.nan),
+                      s.intensities, s.spec)
+    outputs, _ = Odometry(OdometryConfig()).run([scans[0], blank])
+    failed = outputs[-1]
+    assert not failed.match_ok
+    assert np.array_equal(failed.covariance_hint, 1e3 * np.eye(3))
 
 
 def test_trajectory_file_roundtrip(tmp_path):
