@@ -26,7 +26,7 @@ from .evaluation import (DEFAULT_FAIL_THRESHOLD, compute_ate, labels_from_world,
                          pr_sweep, threshold_detector)
 from .geometry import Pose2D
 from .ndt import check_integers, check_reals
-from .odometry import (MODES, Odometry, OdometryConfig, read_trajectory,
+from .odometry import (MODES, Odometry, OdometryConfig, read_rows, read_trajectory,
                        write_ground_truth, write_poses, write_track_log,
                        write_trajectory)
 from .scan import get_sensor, read_scan_log, write_scan_log
@@ -87,19 +87,10 @@ def _write_manifest(out_dir: Path, command: str, params: dict) -> None:
 
 
 def _read_waypoints(path: str):
-    waypoints = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            values = [float(v) for v in parts[:3]]
-        except ValueError:
-            values = []
-        if len(values) < 3 or not all(map(math.isfinite, values)):
-            raise UsageError(f"{path}:{lineno}: waypoint needs finite 'x y theta'")
-        waypoints.append(Pose2D(*values))
-    return waypoints
+    try:
+        return [Pose2D(*row) for row in read_rows(path, "x y theta", "waypoint")]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _resolve_world(name: str):

@@ -56,7 +56,6 @@ class MarkerDetection:
     support_start: int          # first beam index on the marker
     support_end: int            # last beam index on the marker (inclusive)
     incidence_angle: float      # radians
-    mean_intensity: float
 
     @property
     def point_count(self) -> int:
@@ -107,7 +106,7 @@ def expected_point_count(center, incidence: float, marker_width: float,
 _GROW_CHUNK = 32
 
 
-def _row_norms(d: np.ndarray) -> np.ndarray:
+def row_norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of d (..., 2), bit for bit as
     np.linalg.norm of the row: both take the BLAS dot of the row with itself."""
     return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
@@ -132,7 +131,7 @@ def _grow_wall_segments(points, finite, seeds, window):
             inside = (beams >= 0) & (beams < n)
             beams = beams.clip(0, n - 1)
             d = points[beams] - points[seeds[growing], None, :]
-            ok = inside & finite[beams] & (_row_norms(d) <= window)
+            ok = inside & finite[beams] & (row_norms(d) <= window)
             run = np.where(ok.all(axis=1), _GROW_CHUNK, ok.argmin(axis=1))
             end[growing] += side * run
             growing = growing[run == _GROW_CHUNK]
@@ -154,8 +153,8 @@ def _find_marker_borders(jumps, lo, hi, j, min_jump):
         return None
     up_max = jumps.max()
     down_max = -jumps.min()
-    if up_max < min_jump or down_max < min_jump:
-        return None
+    if not (up_max >= min_jump and down_max >= min_jump):
+        return None   # also when the segment holds a NaN intensity
     up_candidates = np.nonzero(jumps >= up_max * (1.0 - _JUMP_TIE_REL))[0]
     down_candidates = np.nonzero(-jumps >= down_max * (1.0 - _JUMP_TIE_REL))[0]
     start = lo + int(up_candidates[0]) + 1   # first point after the upward jump
@@ -190,7 +189,7 @@ def detect(scan: LaserScan, params: DetectorParams | None = None,
 
     lo, hi = _grow_wall_segments(points, finite, candidate_idx, params.window)
     big = ((hi - lo + 1 >= params.p_min)
-           & (_row_norms(points[lo] - points[hi]) >= params.l_min))
+           & (row_norms(points[lo] - points[hi]) >= params.l_min))
 
     jumps = np.diff(intensities)
     raw = []
@@ -229,7 +228,6 @@ def detect(scan: LaserScan, params: DetectorParams | None = None,
             support_start=start,
             support_end=end,
             incidence_angle=incidence,
-            mean_intensity=float(intensities[start:end + 1].mean()),
         ))
 
     return _merge_duplicates(raw, params.duplicate_merge_dist)

@@ -4,7 +4,9 @@ Trajectories are rigidly aligned by the closed-form least-squares solution of
 the 2D absolute orientation problem before per-pose errors are computed; a
 run fails when the maximum error exceeds the failure threshold. Detector
 quality is measured against world-frame marker bounding boxes grown by a
-margin, with false negatives counted per visible box.
+margin, with false negatives counted per visible box. The labels are plain
+arrays, boxes and wall normals, and each scan is scored with one broadcast
+over all of them.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import MarkerDetection
+from .detector import MarkerDetection, row_norms
 from .geometry import Pose2D, transform_points
 from .scan import LaserScan
 
 DEFAULT_FAIL_THRESHOLD = 1.0  # m
+LABEL_PAD = 0.02              # m, label boxes reach this far past a marker
 GROW_MARGIN = 0.10            # m, label boxes grow by this before matching
 
 
@@ -35,33 +38,6 @@ class TrajectoryReport:
         status = "SUCCESS" if self.success else "FAILED"
         return (f"{status} rmse={self.rmse:.4f} m max={self.max_error:.4f} m "
                 f"threshold={self.fail_threshold:.2f} m poses={len(self.per_pose_errors)}")
-
-
-@dataclass(frozen=True)
-class MarkerLabel:
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-    normal: tuple | None = None   # world-frame wall normal, for visibility gating
-
-    def __post_init__(self):
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise ValueError("label box must have positive area")
-
-    def grown(self, margin: float) -> "MarkerLabel":
-        return MarkerLabel(self.x_min - margin, self.y_min - margin,
-                           self.x_max + margin, self.y_max + margin, self.normal)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return ((pts[:, 0] >= self.x_min) & (pts[:, 0] <= self.x_max)
-                & (pts[:, 1] >= self.y_min) & (pts[:, 1] <= self.y_max))
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([(self.x_min + self.x_max) / 2.0,
-                         (self.y_min + self.y_max) / 2.0])
 
 
 @dataclass
@@ -140,8 +116,15 @@ def threshold_detector(scan: LaserScan, i_min: float | None = None):
         support_start=int(beam_idx[run[0]]),
         support_end=int(beam_idx[run[-1]]),
         incidence_angle=0.0,
-        mean_intensity=float(intensities[run].mean()),
     ) for run in runs]
+
+
+def _containment(boxes, points):
+    """(L, n) table: whether box k holds point i (edges included). Each axis
+    is compared on its own; boxes on the outer axis keep the loops long."""
+    x, y = points[:, 0], points[:, 1]
+    return ((x >= boxes[:, :1]) & (x <= boxes[:, 2:3])
+            & (y >= boxes[:, 1:2]) & (y <= boxes[:, 3:]))
 
 
 def evaluate_detector(scan_records, labels, threshold: float = 0.0,
@@ -149,47 +132,37 @@ def evaluate_detector(scan_records, labels, threshold: float = 0.0,
                       fn_max_incidence: float | None = None) -> PRPoint:
     """Precision/recall of per-scan detections against grown label boxes.
 
-    scan_records is an iterable of (scan, ground-truth Pose2D, detections).
+    scan_records is an iterable of (scan, ground-truth Pose2D, detections);
+    labels is the (boxes, normals) pair of labels_from_world.
     A detection is a true positive when its world-frame center lies in any
     grown box. A visible box (one containing a scan point) with no detection
     inside counts as one false negative; visibility can be restricted by
     range / incidence so recall is measured only where detection is feasible.
     Recall is per (scan, box): detected boxes / visible boxes.
     """
-    grown = [lbl.grown(GROW_MARGIN) for lbl in labels]
-    tp = fp = fn = 0
-    detected_boxes = 0
+    boxes, normals = labels
+    grown = boxes + np.array([-GROW_MARGIN, -GROW_MARGIN, GROW_MARGIN, GROW_MARGIN])
+    centers = (grown[:, :2] + grown[:, 2:]) / 2.0
+    tp = fp = fn = detected_boxes = 0
     for scan, pose, detections in scan_records:
         points, _, _ = scan.to_cartesian()
-        world_pts = transform_points(pose, points)
-        centers = np.array([d.center for d in detections], dtype=float).reshape(-1, 2)
-        world_centers = transform_points(pose, centers)
-        in_any = np.zeros(len(world_centers), dtype=bool)
-        sensor = np.array([pose.x, pose.y])
-        for lbl in grown:
-            inside_det = lbl.contains(world_centers) if len(world_centers) else \
-                np.zeros(0, dtype=bool)
-            in_any |= inside_det
-            visible = bool(lbl.contains(world_pts).any())
-            if not visible:
-                continue
-            if fn_max_range is not None and \
-                    float(np.linalg.norm(lbl.center - sensor)) > fn_max_range:
-                continue
-            if fn_max_incidence is not None and lbl.normal is not None:
-                to_sensor = sensor - lbl.center
-                dist = float(np.linalg.norm(to_sensor))
-                if dist > 1e-9:
-                    cos_inc = abs(float(np.dot(to_sensor, lbl.normal))) / dist
-                    incidence = math.acos(min(1.0, max(-1.0, cos_inc)))
-                    if incidence > fn_max_incidence:
-                        continue
-            if inside_det.any():
-                detected_boxes += 1
-            else:
-                fn += 1
-        tp += int(in_any.sum())
-        fp += int((~in_any).sum())
+        det_centers = np.array([d.center for d in detections], dtype=float).reshape(-1, 2)
+        in_box = _containment(grown, transform_points(pose, det_centers))
+        counted = _containment(grown, transform_points(pose, points)).any(axis=1)
+        to_sensor = np.array([pose.x, pose.y]) - centers
+        dist = row_norms(to_sensor)
+        if fn_max_range is not None:
+            counted &= ~(dist > fn_max_range)
+        if fn_max_incidence is not None:
+            far = dist > 1e-9
+            cos_inc = np.abs((to_sensor[:, None, :] @ normals[:, :, None])[:, 0, 0])
+            incidence = np.arccos(np.clip(cos_inc / np.where(far, dist, 1.0), -1.0, 1.0))
+            counted &= ~(far & (incidence > fn_max_incidence))
+        hit = in_box.any(axis=1)
+        detected_boxes += int((counted & hit).sum())
+        fn += int((counted & ~hit).sum())
+        tp_scan = int(in_box.any(axis=0).sum())
+        tp, fp = tp + tp_scan, fp + len(det_centers) - tp_scan
     precision = tp / (tp + fp) if (tp + fp) else 1.0
     visible_total = detected_boxes + fn
     recall = detected_boxes / visible_total if visible_total else 1.0
@@ -210,18 +183,17 @@ def pr_sweep(scans_with_poses, labels, detector_fn, thresholds,
     return points
 
 
-def labels_from_world(world, pad: float = 0.02):
-    """Axis-aligned label boxes (with wall normals) for every world marker."""
-    labels = []
-    for m in world.markers:
+def labels_from_world(world):
+    """(boxes, normals) for every world marker: an (L, 4) array of axis-aligned
+    boxes, x_min y_min x_max y_max, padded by LABEL_PAD, and an (L, 2) array
+    of unit wall normals, for visibility gating."""
+    boxes, normals = np.zeros((len(world.markers), 4)), np.zeros((len(world.markers), 2))
+    for k, m in enumerate(world.markers):
         e1, e2 = world.marker_endpoints(m)
         seg = world.segments[m.segment]
         d = np.asarray(seg.p2, dtype=float) - np.asarray(seg.p1, dtype=float)
         n = np.array([-d[1], d[0]])
-        n = n / np.linalg.norm(n)
-        labels.append(MarkerLabel(
-            min(e1[0], e2[0]) - pad, min(e1[1], e2[1]) - pad,
-            max(e1[0], e2[0]) + pad, max(e1[1], e2[1]) + pad,
-            normal=(float(n[0]), float(n[1])),
-        ))
-    return labels
+        normals[k] = n / np.linalg.norm(n)
+        boxes[k] = (min(e1[0], e2[0]) - LABEL_PAD, min(e1[1], e2[1]) - LABEL_PAD,
+                    max(e1[0], e2[0]) + LABEL_PAD, max(e1[1], e2[1]) + LABEL_PAD)
+    return boxes, normals

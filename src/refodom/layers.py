@@ -12,12 +12,14 @@ it with the regular tables of layer 0.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from .geometry import Pose2D
 from .ndt import (DEFAULT_CELL_SIZE, CellTable, MatchOptions, MatchResult,
-                  NdtGrids, NdtQuery, ascend, build_grids, cell_table)
+                  NdtGrids, NdtQuery, ascend, build_grids, cell_table,
+                  check_reals)
 
 DEFAULT_MARKER_WEIGHT = 10.0
 DEFAULT_SYNTH_RADIUS = 0.05  # m
@@ -40,11 +42,10 @@ def split_points(points: np.ndarray, beam_indices: np.ndarray, detections):
 def synthesize_marker_cloud(marker_points: np.ndarray, radius: float) -> np.ndarray:
     """Each marker point plus SYNTH_CIRCLE_POINTS equally spaced on a circle
     of the given radius around it."""
+    check_reals(SimpleNamespace(radius=radius), "radius")
     pts = np.asarray(marker_points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return pts
-    if radius <= 0:
-        raise ValueError("synth radius must be positive")
     ang = np.arange(SYNTH_CIRCLE_POINTS) * (2.0 * math.pi / SYNTH_CIRCLE_POINTS)
     circle = radius * np.column_stack((np.cos(ang), np.sin(ang)))
     cloud = pts[:, None, :] + circle[None, :, :]

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -268,8 +269,7 @@ def cell_table(points: np.ndarray, cell_size: float, layer: int = 0) -> CellTabl
     """Cell table of a point cloud in one map layer: each point is a
     one-point cell in each lattice, the cell that covers its half cell,
     merged by key."""
-    if not cell_size > 0:
-        raise ValueError("cell_size must be positive")
+    check_reals(SimpleNamespace(cell_size=cell_size), "cell_size")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     ij = (_half_cells(pts, cell_size) - _HALF_SHIFTS[:, None, :]) >> 1   # (4, n, 2)
     parts = (layer << _LAYER_SHIFT) + (_LATTICES[:, None] << _LATTICE_SHIFT)
@@ -286,8 +286,7 @@ def build_grids(source, cell_size: float,
     map layers whose CellTables are given, one or more per layer: the tables
     are merged in one pass, cells with fewer than min_points points dropped
     and the sample covariances (ddof=1) regularized."""
-    if not cell_size > 0:
-        raise ValueError("cell_size must be positive")
+    check_reals(SimpleNamespace(cell_size=cell_size), "cell_size")
     tables = source
     if not (isinstance(source, (list, tuple)) and source
             and all(isinstance(t, CellTable) for t in source)):

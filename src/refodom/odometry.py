@@ -335,20 +335,31 @@ def write_trajectory(path, outputs) -> None:
             f.write("\n")
 
 
-def read_trajectory(path):
-    """Read (timestamp, Pose2D) pairs; tolerates files without the flag
-    columns (ground-truth files)."""
+def read_rows(path, names: str, what: str) -> list[list[float]]:
+    """The first columns of every non-blank line of a text file, one per
+    word of names, as floats; a line without that many finite numbers is
+    refused with its path:line."""
+    n = len(names.split())
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) < 4:
-                raise ValueError(f"{path}:{lineno}: expected at least 4 columns")
-            t, x, y, th = (float(v) for v in parts[:4])
-            rows.append((t, Pose2D(x, y, th)))
+            try:
+                values = [float(v) for v in parts[:n]]
+            except ValueError:
+                values = []
+            if len(values) < n or not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: {what} needs finite '{names}'")
+            rows.append(values)
     return rows
+
+
+def read_trajectory(path):
+    """Read (timestamp, Pose2D) pairs; tolerates files without the flag
+    columns (ground-truth files)."""
+    return [(t, Pose2D(x, y, th)) for t, x, y, th in read_rows(path, "t x y theta", "pose")]
 
 
 def write_poses(path, timed_poses) -> None:

@@ -53,17 +53,19 @@ class World:
             if not (len(seg.p1) == len(seg.p2) == 2 and 0 < math.dist(seg.p1, seg.p2) < math.inf):
                 raise ValueError(f"segment {k} needs two distinct, finite points (x, y)")
             check_reals(seg, "reflectivity", allow_zero=True)
-        for m in self.markers:
-            check_reals(m, "width", "reflectivity")
-            if not 0 <= m.segment < len(self.segments):
-                raise ValueError(f"marker names segment {m.segment}, but the world "
-                                 f"has {len(self.segments)} segments")
-            seg = self.segments[m.segment]
-            length = math.dist(seg.p1, seg.p2)
-            if not (m.width / 2 <= m.offset <= length - m.width / 2):
-                raise ValueError(f"marker at offset {m.offset} exceeds its host segment")
-            if m.reflectivity <= seg.reflectivity:
-                raise ValueError("marker reflectivity must exceed its wall's")
+        for k, m in enumerate(self.markers):
+            try:
+                check_reals(m, "width", "reflectivity")
+                if not 0 <= m.segment < len(self.segments):
+                    raise ValueError(f"names segment {m.segment}, but the world "
+                                     f"has {len(self.segments)} segments")
+                seg = self.segments[m.segment]
+                if not m.width / 2 <= m.offset <= math.dist(seg.p1, seg.p2) - m.width / 2:
+                    raise ValueError(f"offset {m.offset} exceeds its host segment")
+                if m.reflectivity <= seg.reflectivity:
+                    raise ValueError("reflectivity must exceed its wall's")
+            except ValueError as exc:
+                raise ValueError(f"marker {k}: {exc}") from None
 
     def marker_endpoints(self, marker: Marker):
         seg = self.segments[marker.segment]
@@ -330,4 +332,8 @@ def load_world(name_or_path: str) -> World:
     if name_or_path in worlds:
         return worlds[name_or_path]
     with open(name_or_path) as f:
-        return world_from_json(f.read())
+        text = f.read()
+    try:
+        return world_from_json(text)
+    except ValueError as exc:   # JSON syntax errors included
+        raise ValueError(f"{name_or_path}: {exc}") from None

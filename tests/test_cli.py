@@ -166,14 +166,20 @@ INF = float("inf")
     ({"segments": [{"p1": [1.0, 1.0], "p2": [1.0, 1.0]}]}, "segment 0 needs two distinct"),
     ({"segments": [{"p1": [0.0, 0.0, 0.0], "p2": [4.0, 0.0, 0.0]}]},
      "segment 0 needs two distinct"),
+    ({"segments": [WALL], "markers": [{"segment": 0, "offset": 1.0},
+                                      {"segment": 0, "offset": 2.0, "width": INF}]},
+     "marker 1: width must be positive and finite"),
+    ("not json", "Expecting value"),
 ])
 def test_malformed_world_is_runtime_error(tmp_path, capsys, rec, needle):
+    # A string is written as it stands; anything else as JSON.
     world = tmp_path / "world.json"
-    world.write_text(json.dumps(rec))
+    world.write_text(rec if isinstance(rec, str) else json.dumps(rec))
     code, _, err = run(["simulate", "--world", str(world), "--out",
                         str(tmp_path / "sim")], capsys)
     assert code == 1
     assert len(err.strip().splitlines()) == 1
+    assert f"error: {world}: " in err
     assert needle in err
 
 
@@ -358,3 +364,17 @@ def test_bad_waypoint_is_usage_error(tmp_path, capsys, line):
     assert len(err.strip().splitlines()) == 1
     assert f"{wp}:2: waypoint" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row", ["1 nan 0 0", "1 inf 0 0", "nan 1 0 0", "a 1 0 0"])
+def test_bad_trajectory_row_is_runtime_error(tmp_path, capsys, row):
+    reference = tmp_path / "ref.txt"
+    reference.write_text("0 0 0 0\n1 1 0 0\n2 2 0 0\n")
+    estimate = tmp_path / "est.txt"
+    estimate.write_text(f"0 0 0 0\n{row}\n2 2 0 0\n")
+    code, out, err = run(["evaluate", "--estimate", str(estimate),
+                          "--reference", str(reference)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"error: {estimate}:2: pose needs finite 't x y theta'"]

@@ -9,7 +9,7 @@ from refodom.detector import (DetectorParams, MarkerDetection, detect,
                               fit_line, _GROW_CHUNK, _grow_wall_segments,
                               _merge_duplicates)
 from refodom.geometry import Pose2D
-from refodom.scan import get_sensor
+from refodom.scan import LaserScan, get_sensor
 from refodom.simulator import SimConfig, builtin_worlds, simulate_scan
 
 
@@ -252,7 +252,9 @@ def test_detect_support_indices_cover_hot_beams():
     for det in detect(scan):
         assert det.support_start <= det.support_end
         seg = scan.intensities[det.support_start:det.support_end + 1]
-        assert seg.mean() == pytest.approx(det.mean_intensity)
+        assert seg.max() >= scan.spec.i_min
+        outside = scan.intensities[[det.support_start - 1, det.support_end + 1]]
+        assert outside.max() < seg.min()
 
 
 def test_detect_nothing_without_markers():
@@ -274,6 +276,24 @@ def test_detect_range_gate():
     assert detect(scan, near_only) == []
 
 
+def test_nan_intensity_in_wall_segment_drops_only_its_marker():
+    # NaN intensities are legal in a scan log. One in a marker's wall segment
+    # makes that segment's intensity jumps NaN, which no border gate passes.
+    scan, _ = marked_scan(Pose2D(2.5, 1.5, 0.0), sensor="r2000")
+    clean = detect(scan)
+    assert len(clean) == 2
+    for k, det in enumerate(clean):
+        intensities = scan.intensities.copy()
+        intensities[det.support_start - 2] = np.nan
+        dirty = LaserScan(scan.timestamp, scan.start_angle, scan.ranges,
+                          intensities, scan.spec)
+        (other,) = clean[:k] + clean[k + 1:]
+        got = detect(dirty)
+        assert [(d.support_start, d.support_end) for d in got] == \
+            [(other.support_start, other.support_end)]
+        assert np.array_equal(got[0].center, other.center)
+
+
 def test_detect_deterministic():
     scan, _ = marked_scan(Pose2D(2.0, 1.5, 0.0))
     a = detect(scan)
@@ -289,7 +309,7 @@ def _det(center, start, end):
     return MarkerDetection(center=np.asarray(center, dtype=float),
                            normal=np.array([1.0, 0.0]),
                            support_start=start, support_end=end,
-                           incidence_angle=0.0, mean_intensity=100.0)
+                           incidence_angle=0.0)
 
 
 def test_merge_duplicates_keeps_larger_support():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,8 +68,9 @@ def test_synthesize_marker_cloud_count_and_radius():
 
 def test_synthesize_marker_cloud_empty_and_invalid():
     assert len(synthesize_marker_cloud(np.empty((0, 2)), 0.05)) == 0
-    with pytest.raises(ValueError):
-        synthesize_marker_cloud(np.ones((1, 2)), 0.0)
+    for radius in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            synthesize_marker_cloud(np.ones((2, 2)), radius)
 
 
 def test_single_marker_point_yields_cells():

@@ -46,8 +46,12 @@ def test_build_grids_four_lattices():
 
 
 def test_build_grids_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        build_grids(np.zeros((5, 2)), 0.0)
+    # An infinite cell once held every point in one cell per lattice.
+    pts = np.random.default_rng(0).uniform(0.0, 5.0, (200, 2))
+    for builder in (build_grids, cell_table):
+        for cell_size in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+                builder(pts, cell_size)
 
 
 def test_sparse_cells_dropped():
